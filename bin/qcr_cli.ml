@@ -223,8 +223,15 @@ let qaoa_cmd =
     let graph = Generate.erdos_renyi rng ~n ~density in
     let arch = Arch.mumbai_like () in
     let noise = Noise.sampled ~seed:9 arch in
+    (* no compiler phase reads an angle: compile the graph once and
+       re-stamp each evaluation's angles onto it *)
+    let compiled =
+      Pipeline.run_exn
+        (Pipeline.Request.make ~noise arch
+           (Program.make graph (Program.Qaoa_maxcut { gamma = 0.0; beta = 0.0 })))
+    in
     let compile p =
-      let r = Pipeline.run_exn (Pipeline.Request.make ~noise arch p) in
+      let r = Pipeline.rebind compiled p in
       (r.Pipeline.circuit, r.Pipeline.final)
     in
     let d = Qcr_sim.Qaoa.run_driver ~rounds ~noise ~graph ~compile () in

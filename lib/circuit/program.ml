@@ -20,9 +20,18 @@ let qubit_count t = Graph.vertex_count t.graph
 
 let edge_count t = Graph.edge_count t.graph
 
+(* Every angle a program's gates carry, in one place: [edge_gate],
+   [epilogue] and [rebind_gate] all take them from here, so re-stamping a
+   compiled circuit reproduces a fresh compile's angles bit for bit. *)
+let phase_angle gamma = 2.0 *. gamma
+
+let rz_angle gamma degree = -.gamma *. float_of_int degree
+
+let mixer_angle beta = 2.0 *. beta
+
 let edge_gate t u v =
   match t.interaction with
-  | Qaoa_maxcut { gamma; _ } | Qaoa_level { gamma; _ } -> Gate.Cphase (u, v, 2.0 *. gamma)
+  | Qaoa_maxcut { gamma; _ } | Qaoa_level { gamma; _ } -> Gate.Cphase (u, v, phase_angle gamma)
   | Two_local { theta } -> Gate.Rzz (u, v, theta)
   | Bare_cz -> Gate.Cz (u, v)
 
@@ -42,12 +51,25 @@ let epilogue t =
       let rz =
         List.concat_map
           (fun q ->
-            let d = float_of_int (Graph.degree t.graph q) in
-            if d = 0.0 then [] else [ Gate.Rz (q, -.gamma *. d) ])
+            let d = Graph.degree t.graph q in
+            if d = 0 then [] else [ Gate.Rz (q, rz_angle gamma d) ])
           (List.init (qubit_count t) (fun q -> q))
       in
-      rz @ List.init (qubit_count t) (fun q -> Gate.Rx (q, 2.0 *. beta))
+      rz @ List.init (qubit_count t) (fun q -> Gate.Rx (q, mixer_angle beta))
   | Two_local _ | Bare_cz -> []
+
+let rebind_gate interaction ~degree g =
+  match (interaction, g) with
+  | (Qaoa_maxcut { gamma; beta } | Qaoa_level { gamma; beta }), g -> (
+      match g with
+      | Gate.Cphase (a, b, _) -> Gate.Cphase (a, b, phase_angle gamma)
+      | Gate.Swap_interact (a, b, _) -> Gate.Swap_interact (a, b, phase_angle gamma)
+      | Gate.Rz (q, _) -> Gate.Rz (q, rz_angle gamma degree)
+      | Gate.Rx (q, _) -> Gate.Rx (q, mixer_angle beta)
+      | g -> g)
+  | Two_local { theta }, Gate.Rzz (a, b, _) -> Gate.Rzz (a, b, theta)
+  | Two_local { theta }, Gate.Swap_rzz (a, b, _) -> Gate.Swap_rzz (a, b, theta)
+  | (Two_local _ | Bare_cz), g -> g
 
 let logical_circuit t =
   let c = Circuit.create (qubit_count t) in

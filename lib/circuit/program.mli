@@ -39,6 +39,17 @@ val prologue : t -> Gate.t list
 val epilogue : t -> Gate.t list
 (** Gates after the interaction block (RX mixer + measures for QAOA). *)
 
+val rebind_gate : interaction -> degree:int -> Gate.t -> Gate.t
+(** The angle rule: [g] carrying the angle [interaction] gives its kind
+    of gate — CPHASE and fused SWAP+CPHASE get 2γ, RZZ and fused
+    SWAP+RZZ get θ, an epilogue Rz gets −γ·[degree] (the degree of the
+    logical qubit it acts on), a mixer Rx gets 2β.  Other gates, and
+    every gate of a [Bare_cz] program, come back unchanged.  The gates
+    {!edge_gate} and {!epilogue} emit take their angles from the same
+    formulas, so rebinding a compiled circuit of a program to new angles
+    is bit-identical to compiling the program at those angles: no
+    compiler phase reads an angle. *)
+
 val logical_circuit : t -> Circuit.t
 (** Prologue, every edge gate in lexicographic edge order, epilogue. *)
 

@@ -310,6 +310,20 @@ and compile_one ?(config = Config.default) ?noise ?init arch program =
 
 let finalize_body = finalize
 
+(* Re-stamp every angle with [program]'s; an epilogue Rz takes the degree
+   of the logical qubit the final mapping leaves on its wire. *)
+let rebind r program =
+  let interaction = Program.interaction program and graph = Program.graph program in
+  let circuit = Circuit.create (Circuit.qubit_count r.circuit) in
+  List.iter
+    (fun g ->
+      let degree =
+        match g with Gate.Rz (q, _) -> Graph.degree graph (Mapping.log_of_phys r.final q) | _ -> 0
+      in
+      Circuit.add circuit (Program.rebind_gate interaction ~degree g))
+    (Circuit.gates r.circuit);
+  { r with circuit }
+
 (* ---------- parallel compiler portfolio ---------- *)
 
 type portfolio = {

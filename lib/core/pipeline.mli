@@ -125,6 +125,15 @@ val finalize_body :
     merge interaction+swap pairs, and compute metrics.  Shared by the
     baseline compilers so every compiler is measured identically. *)
 
+val rebind : result -> Qcr_circuit.Program.t -> result
+(** [rebind r p]: [r] with every angle replaced by the one [p] gives it
+    ({!Qcr_circuit.Program.rebind_gate}); structure, mappings and metrics
+    are kept.  [p] must differ from the program [r] was compiled from
+    only in its angles (same graph, same interaction kind).  Placement,
+    routing, prediction and the selector never read an angle, so the
+    result is bit-identical to compiling [p] afresh — which is what lets
+    a QAOA loop compile its graph once and rebind at every evaluation. *)
+
 (** {1 Parallel compiler portfolio} *)
 
 type portfolio = {

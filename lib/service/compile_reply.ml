@@ -50,9 +50,11 @@ let strategy_name = function
   | Pipeline.Pure_ata -> "ata"
   | Pipeline.Hybrid c -> Printf.sprintf "hybrid@%d" c
 
-let circuit_digest circuit =
-  let d = Digest64.add_int Digest64.empty (Circuit.qubit_count circuit) in
-  List.fold_left (fun d g -> Digest64.add_string d (Gate.to_string g)) d (Circuit.gates circuit)
+let gates_digest ~qubits gates =
+  List.fold_left
+    (fun d g -> Digest64.add_string d (Gate.to_string g))
+    (Digest64.add_int Digest64.empty qubits)
+    gates
   |> Digest64.to_hex
 
 let metrics_of_result (r : Pipeline.result) =
@@ -62,7 +64,8 @@ let metrics_of_result (r : Pipeline.result) =
     swap_count = r.Pipeline.swap_count;
     log_fidelity = r.Pipeline.log_fidelity;
     strategy = strategy_name r.Pipeline.strategy;
-    circuit_digest = circuit_digest r.Pipeline.circuit;
+    circuit_digest =
+      gates_digest ~qubits:(Circuit.qubit_count r.Pipeline.circuit) (Circuit.gates r.Pipeline.circuit);
   }
 
 (* ---------- JSON ---------- *)

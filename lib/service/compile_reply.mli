@@ -39,8 +39,10 @@ type outcome =
   | Failed of Qcr_core.Pipeline.error
 
 type phase = {
-  p_phase : string;  (** ["validate"], ["cache"] or ["compile"] *)
-  p_detail : string;  (** tier name, or ["hit"]/["miss"] for the cache *)
+  p_phase : string;  (** ["validate"], ["cache"], ["route"] or ["compile"] *)
+  p_detail : string;
+      (** tier name, or ["hit"]/["miss"] for the cache and ["hit"] for the
+          route table *)
   p_outcome : string;
       (** ["ok"], ["miss"], ["hit"], ["discarded"] (finished past the
           deadline), ["breaker_open"], ["not_admitted"] (cost model says
@@ -70,6 +72,11 @@ val status_name : t -> string
 (** ["ok"], ["degraded"] or ["error"]. *)
 
 val metrics_of_result : Qcr_core.Pipeline.result -> metrics
+
+val gates_digest : qubits:int -> Qcr_circuit.Gate.t list -> string
+(** The {!metrics.circuit_digest} of a circuit on [qubits] wires with
+    these gates, in order: a {!Qcr_util.Digest64} over the wire count and
+    each gate's {!Qcr_circuit.Gate.to_string}. *)
 
 val strategy_name : Qcr_core.Pipeline.strategy -> string
 

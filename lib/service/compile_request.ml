@@ -121,12 +121,13 @@ let canonical_edges t =
 
 (* ---------- cache key ---------- *)
 
-let interaction_digest d = function
-  | Program.Qaoa_maxcut { gamma; beta } ->
-      Digest64.add_float (Digest64.add_float (Digest64.add_string d "qaoa_maxcut") gamma) beta
-  | Program.Qaoa_level { gamma; beta } ->
-      Digest64.add_float (Digest64.add_float (Digest64.add_string d "qaoa_level") gamma) beta
-  | Program.Two_local { theta } -> Digest64.add_float (Digest64.add_string d "two_local") theta
+(* The interaction's kind, then (with [angles]) its angles. *)
+let interaction_digest ~angles d i =
+  let add_angles d xs = if angles then List.fold_left Digest64.add_float d xs else d in
+  match i with
+  | Program.Qaoa_maxcut { gamma; beta } -> add_angles (Digest64.add_string d "qaoa_maxcut") [ gamma; beta ]
+  | Program.Qaoa_level { gamma; beta } -> add_angles (Digest64.add_string d "qaoa_level") [ gamma; beta ]
+  | Program.Two_local { theta } -> add_angles (Digest64.add_string d "two_local") [ theta ]
   | Program.Bare_cz -> Digest64.add_string d "bare_cz"
 
 let add_opt add d = function
@@ -136,17 +137,25 @@ let add_opt add d = function
 (* Content only: [id], [deadline_s] and [trace] are excluded — the same
    content compiles identically regardless of who asked, how urgently,
    or whether they want a phase breakdown. *)
-let cache_key t =
-  let d = Digest64.add_string Digest64.empty "qcr-service/v1" in
+let content_key ~tag ~angles t =
+  let d = Digest64.add_string Digest64.empty tag in
   let d = Digest64.add_string d (kind_name t.arch_kind) in
   let d = Digest64.add_int d (max t.arch_size t.qubits) in
   let d = Digest64.add_int d t.qubits in
   let d = Digest64.add_pairs d (canonical_edges t) in
-  let d = interaction_digest d t.interaction in
+  let d = interaction_digest ~angles d t.interaction in
   let d = Digest64.add_string d (mode_name t.mode) in
   let d = add_opt Digest64.add_float d t.alpha in
   let d = add_opt Digest64.add_int d t.noise_seed in
   Digest64.to_hex d
+
+let cache_key t = content_key ~tag:"qcr-service/v1" ~angles:true t
+
+let route_key t =
+  match t.interaction with
+  | Program.Bare_cz -> None
+  | Program.Qaoa_maxcut _ | Program.Qaoa_level _ | Program.Two_local _ ->
+      Some (content_key ~tag:"qcr-route/v1" ~angles:false t)
 
 (* ---------- realization ---------- *)
 

@@ -80,6 +80,14 @@ val cache_key : t -> string
     (alpha) and the noise fingerprint (seed or noiseless).  [id],
     [deadline_s] and [trace] do not contribute. *)
 
+val route_key : t -> string option
+(** The angle-free twin of {!cache_key}: the same content with the
+    interaction's angles (γ, β, θ) left out and its kind kept, so every
+    point of an angle sweep over one graph shares one route key.  It
+    keys the service's route table, which re-stamps a compiled structure
+    with new angles ({!Qcr_circuit.Program.rebind_gate}).  [None] for
+    [Bare_cz], which has no angles. *)
+
 (** {1 Realization} *)
 
 val arch_of : t -> Qcr_arch.Arch.t

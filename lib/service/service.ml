@@ -1,10 +1,16 @@
 module Pipeline = Qcr_core.Pipeline
+module Gate = Qcr_circuit.Gate
+module Circuit = Qcr_circuit.Circuit
+module Mapping = Qcr_circuit.Mapping
+module Program = Qcr_circuit.Program
+module Graph = Qcr_graph.Graph
 module Clock = Qcr_obs.Clock
 module Obs = Qcr_obs.Obs
 module Registry = Qcr_obs.Registry
 module Eventlog = Qcr_obs.Eventlog
 module Json = Qcr_obs.Json
 module Sharded_cache = Qcr_util.Sharded_cache
+module Lru = Qcr_util.Lru
 module Prng = Qcr_util.Prng
 module Digest64 = Qcr_util.Digest64
 module Pool = Qcr_par.Pool
@@ -19,6 +25,10 @@ let c_hit = Obs.counter "service.cache.hit"
 let c_miss = Obs.counter "service.cache.miss"
 
 let c_corrupt = Obs.counter "service.cache.corrupt"
+
+let c_route_hit = Obs.counter "service.route.hit"
+
+let c_route_miss = Obs.counter "service.route.miss"
 
 let c_degraded = Obs.counter "service.degraded"
 
@@ -150,6 +160,18 @@ type entry = {
   digest : string;
 }
 
+(* A route-table entry: one full-quality compile with its angles left
+   out.  It keeps the reply's angle-free metrics and five bytes per gate
+   — a tag and two u16 operands, where an epilogue Rz keeps its logical
+   qubit's degree as the second operand — rather than the circuit and
+   mappings of a [Pipeline.result], which would hold far more memory per
+   structure. *)
+type template = {
+  t_metrics : Reply.metrics;  (* its [circuit_digest] is recomputed per hit *)
+  wires : int;
+  gates : Bytes.t;
+}
+
 type t = {
   cache : entry Sharded_cache.t;  (* per-shard locks of its own: cache
                                      traffic never touches [lock] *)
@@ -171,6 +193,8 @@ type t = {
   retry_rng : Prng.t; (* jitter stream, seeded: backoff is reproducible *)
   retries_total : int Atomic.t;
   eventlog : Eventlog.t option;
+  routes : template Lru.t;  (* route key -> template; driver domain only,
+                               like [st] *)
   mutable st : stats;
 }
 
@@ -266,6 +290,7 @@ let create ?(cache_capacity = 512) ?(cache_shards = 16) ?store ?(clock = Clock.w
       retry_rng = Prng.create retry_seed;
       retries_total = Atomic.make 0;
       eventlog;
+      routes = Lru.create ~capacity:cache_capacity;
       st = zero_stats;
     }
   in
@@ -406,7 +431,96 @@ let error_kind = function
   | Pipeline.Overloaded _ -> "overloaded"
   | Pipeline.Canceled -> "canceled"
 
-let compile_cold t (req : Request.t) key =
+(* ---------- route table ---------- *)
+
+let gate_fields = function
+  | Gate.H q -> (0, q, 0)
+  | Gate.X q -> (1, q, 0)
+  | Gate.Rx (q, _) -> (2, q, 0)
+  | Gate.Rz (q, _) -> (3, q, 0)
+  | Gate.Cx (a, b) -> (4, a, b)
+  | Gate.Cz (a, b) -> (5, a, b)
+  | Gate.Cphase (a, b, _) -> (6, a, b)
+  | Gate.Rzz (a, b, _) -> (7, a, b)
+  | Gate.Swap (a, b) -> (8, a, b)
+  | Gate.Swap_interact (a, b, _) -> (9, a, b)
+  | Gate.Swap_rzz (a, b, _) -> (10, a, b)
+  | Gate.Measure q -> (11, q, 0)
+  | Gate.Barrier -> (12, 0, 0)
+
+(* Angles come back as 0; [Program.rebind_gate] stamps the real ones. *)
+let gate_of_fields tag a b =
+  match tag with
+  | 0 -> Gate.H a
+  | 1 -> Gate.X a
+  | 2 -> Gate.Rx (a, 0.0)
+  | 3 -> Gate.Rz (a, 0.0)
+  | 4 -> Gate.Cx (a, b)
+  | 5 -> Gate.Cz (a, b)
+  | 6 -> Gate.Cphase (a, b, 0.0)
+  | 7 -> Gate.Rzz (a, b, 0.0)
+  | 8 -> Gate.Swap (a, b)
+  | 9 -> Gate.Swap_interact (a, b, 0.0)
+  | 10 -> Gate.Swap_rzz (a, b, 0.0)
+  | 11 -> Gate.Measure a
+  | _ -> Gate.Barrier
+
+(* The template of a compile of [program], or [None] when an operand
+   overflows u16 or re-stamping a gate at the compile's own angles would
+   not reproduce it exactly: only templates known to rebind exactly are
+   stored. *)
+let template_of program (res : Pipeline.result) metrics =
+  let interaction = Program.interaction program and graph = Program.graph program in
+  let degree q =
+    let l = Mapping.log_of_phys res.Pipeline.final q in
+    if l < Graph.vertex_count graph then Graph.degree graph l else max_int
+  in
+  let gates = Circuit.gates res.Pipeline.circuit in
+  let buf = Bytes.create (5 * List.length gates) in
+  let exact = ref true in
+  List.iteri
+    (fun i g ->
+      let tag, a, b = gate_fields g in
+      let b = match g with Gate.Rz (q, _) -> degree q | _ -> b in
+      if a > 0xffff || b > 0xffff || not (Gate.equal g (Program.rebind_gate interaction ~degree:b g))
+      then exact := false
+      else begin
+        Bytes.set_uint8 buf (5 * i) tag;
+        Bytes.set_uint16_le buf ((5 * i) + 1) a;
+        Bytes.set_uint16_le buf ((5 * i) + 3) b
+      end)
+    gates;
+  if !exact then
+    Some { t_metrics = metrics; wires = Circuit.qubit_count res.Pipeline.circuit; gates = buf }
+  else None
+
+(* The metrics of [tpl]'s structure compiled at [interaction]'s angles:
+   bit-identical to a cold compile, digest included. *)
+let rebind_template interaction tpl =
+  let gates =
+    List.init (Bytes.length tpl.gates / 5) (fun i ->
+        let b = Bytes.get_uint16_le tpl.gates ((5 * i) + 3) in
+        Program.rebind_gate interaction ~degree:b
+          (gate_of_fields
+             (Bytes.get_uint8 tpl.gates (5 * i))
+             (Bytes.get_uint16_le tpl.gates ((5 * i) + 1))
+             b))
+  in
+  { tpl.t_metrics with Reply.circuit_digest = Reply.gates_digest ~qubits:tpl.wires gates }
+
+(* The route key of a request, or [None] when it has no angles or the
+   table is disabled (capacity 0). *)
+let route_of t req = if Lru.capacity t.routes = 0 then None else Request.route_key req
+
+(* One lookup per exact-cache miss that has a route key: a hit or a miss. *)
+let route_find t = function
+  | None -> None
+  | Some route ->
+      let found = Lru.find t.routes route in
+      Obs.incr (if found = None then c_route_miss else c_route_hit);
+      found
+
+let compile_cold t (req : Request.t) key ~route =
   let span_args =
     if req.Request.id = "" then [] else [ ("req", req.Request.id) ]
   in
@@ -430,26 +544,15 @@ let compile_cold t (req : Request.t) key =
         }
         :: !phases
   in
-  let reply outcome =
-    {
-      Reply.id = req.Request.id;
-      key;
-      requested_mode = req.Request.mode;
-      outcome;
-      cached = false;
-      compile_ms = (Clock.now t.clock -. t0) *. 1000.0;
-      trace = (if req.Request.trace then Some (List.rev !phases) else None);
-    }
-  in
   let exhausted last_err =
-    reply
-      (Reply.Failed
-         (match last_err with
-         | Some e -> e
-         | None -> (
-             match req.Request.deadline_s with
-             | Some deadline_s -> Pipeline.Timeout { deadline_s }
-             | None -> Pipeline.Internal "degradation ladder exhausted")))
+    ( Reply.Failed
+        (match last_err with
+        | Some e -> e
+        | None -> (
+            match req.Request.deadline_s with
+            | Some deadline_s -> Pipeline.Timeout { deadline_s }
+            | None -> Pipeline.Internal "degradation ladder exhausted")),
+      None )
   in
   let rec attempt last_err = function
     | [] -> exhausted last_err
@@ -501,7 +604,7 @@ let compile_cold t (req : Request.t) key =
                 (* deterministic rejection: no cheaper tier can fix it,
                    and it says nothing about the tier's health *)
                 push ~tier ~outcome:(error_kind e) ~retries:k ~ms:(tier_ms t_end);
-                reply (Reply.Failed e)
+                (Reply.Failed e, None)
             | Error e, t_end, k ->
                 breaker_failure t tier t_end;
                 push ~tier ~outcome:(error_kind e) ~retries:k ~ms:(tier_ms t_end);
@@ -514,10 +617,24 @@ let compile_cold t (req : Request.t) key =
                     attempt last_err rest
                 | _ ->
                     push ~tier ~outcome:"ok" ~retries:k ~ms:(tier_ms t_end);
-                    reply (Reply.Compiled { mode = tier; metrics = Reply.metrics_of_result res }))
+                    let metrics = Reply.metrics_of_result res in
+                    ( Reply.Compiled { mode = tier; metrics },
+                      if route && tier = req.Request.mode then
+                        template_of pipeline_req.Pipeline.Request.program res metrics
+                      else None ))
           end)
   in
-  attempt None (ladder req.Request.mode)
+  let outcome, template = attempt None (ladder req.Request.mode) in
+  ( {
+      Reply.id = req.Request.id;
+      key;
+      requested_mode = req.Request.mode;
+      outcome;
+      cached = false;
+      compile_ms = (Clock.now t.clock -. t0) *. 1000.0;
+      trace = (if req.Request.trace then Some (List.rev !phases) else None);
+    },
+    template )
 
 (* Insert through the [cache.put] fault point: a corruption mangles the
    stored bytes so the digest check catches it on the next hit; a crash
@@ -584,6 +701,21 @@ let invalid_reply (req : Request.t) key msg started =
        else None);
   }
 
+(* Served from the route table: the known structure re-stamped with this
+   request's angles, never touching the tier ladder. *)
+let route_reply (req : Request.t) key tpl started clock =
+  let metrics = rebind_template req.Request.interaction tpl in
+  let ms = (Clock.now clock -. started) *. 1000.0 in
+  {
+    Reply.id = req.Request.id;
+    key;
+    requested_mode = req.Request.mode;
+    outcome = Reply.Compiled { mode = req.Request.mode; metrics };
+    cached = false;
+    compile_ms = ms;
+    trace = (if req.Request.trace then Some [ trace_phase "route" "hit" "hit" ms ] else None);
+  }
+
 let hit_reply (req : Request.t) (cached : Reply.t) started clock =
   let ms = (Clock.now clock -. started) *. 1000.0 in
   {
@@ -615,8 +747,11 @@ let record_events t (req : Request.t) (reply : Reply.t) =
       | Reply.Compiled _ -> ());
       Eventlog.record_slow log ~id:reply.Reply.id ~ms:reply.Reply.compile_ms fields
 
-(* Serve one request against the cache; [compiled] optionally supplies a
-   pre-computed cold reply (the parallel batch path). *)
+(* Serve one request against the cache, then on a miss against the route
+   table; [compiled] optionally supplies a pre-computed cold reply and
+   template (the parallel batch path).  Templates are inserted here, on
+   the driver domain in request order, so which requests are route hits
+   never depends on the pool size. *)
 let serve_exn t (req : Request.t) ~compiled =
   t.st <- { t.st with requests = t.st.requests + 1 };
   Obs.incr c_requests;
@@ -639,10 +774,14 @@ let serve_exn t (req : Request.t) ~compiled =
           finish (hit_reply req cached t0 t.clock)
       | None ->
           Obs.incr c_miss;
-          let reply =
-            match compiled key with
-            | Some r -> { r with Reply.id = req.Request.id }
-            | None -> compile_cold t req key
+          let route = route_of t req in
+          let reply, template =
+            match route_find t route with
+            | Some tpl -> (route_reply req key tpl t0 t.clock, None)
+            | None -> (
+                match compiled key with
+                | Some (r, template) -> ({ r with Reply.id = req.Request.id }, template)
+                | None -> compile_cold t req key ~route:(route <> None))
           in
           let reply =
             if req.Request.trace then
@@ -655,6 +794,9 @@ let serve_exn t (req : Request.t) ~compiled =
               }
             else reply
           in
+          (match (route, template) with
+          | Some route, Some tpl -> Lru.add t.routes route tpl
+          | _ -> ());
           cache_put t key reply;
           count_outcome t reply;
           finish reply)
@@ -693,10 +835,13 @@ let serve t req ~compiled =
 let submit t req = serve t req ~compiled:(fun _ -> None)
 
 let run_batch t reqs =
-  (* Phase 1: find the distinct cold keys (first valid occurrence each,
-     skipping keys already cached) and compile them in parallel.  Phase 2
-     assembles replies sequentially in request order, so cache flags and
-     hit/miss counts never depend on the pool size. *)
+  (* Phase 1: find the distinct cold structures (first valid occurrence
+     of each route key — of each cache key when there is none — skipping
+     keys already cached and routes already known) and compile them in
+     parallel.  Phase 2 assembles replies sequentially in request order:
+     the other points of an angle sweep become route hits there, and
+     cache flags, route hits and hit/miss counts never depend on the pool
+     size. *)
   let seen = Hashtbl.create 16 in
   let cold =
     List.filter_map
@@ -705,23 +850,26 @@ let run_batch t reqs =
         | Error _ -> None
         | Ok () ->
             let key = Request.cache_key req in
-            if Hashtbl.mem seen key || Sharded_cache.mem t.cache key then None
+            let route = route_of t req in
+            let structure = Option.value route ~default:key in
+            let known_route = match route with Some r -> Lru.mem t.routes r | None -> false in
+            if Hashtbl.mem seen structure || Sharded_cache.mem t.cache key || known_route then None
             else begin
-              Hashtbl.add seen key ();
-              Some (key, req)
+              Hashtbl.add seen structure ();
+              Some (key, route, req)
             end)
       reqs
   in
   (* Each cold compile is individually fenced, and the pool fan-out has
      an inline fallback: a lost pool never loses a batch. *)
-  let compile_one (key, req) =
+  let compile_one (key, route, req) =
     ( key,
-      try compile_cold t req key
+      try compile_cold t req key ~route:(route <> None)
       with
       | (Out_of_memory | Stack_overflow) as e -> raise e
       | e ->
           Obs.incr c_boundary;
-          { (boundary_reply req e) with Reply.key = key } )
+          ({ (boundary_reply req e) with Reply.key = key }, None) )
   in
   let compiled = Hashtbl.create 16 in
   (try Pool.map_list (Pool.default ()) compile_one cold

@@ -1,8 +1,8 @@
 (** Batched compilation service: the serving substrate over
     {!Qcr_core.Pipeline.run}.
 
-    A service owns a content-addressed LRU compile cache and a
-    deadline-degradation policy.  Submitting a {!Compile_request.t}
+    A service owns a content-addressed LRU compile cache, an angle-free
+    route table behind it, and a deadline-degradation policy.  Submitting a {!Compile_request.t}
     yields a {!Compile_reply.t} — always, by construction: validation
     failures, deadline expiry and internal exceptions all come back as
     typed error replies, never as exceptions across this boundary.  A
@@ -26,6 +26,24 @@
     [cache.get]/[cache.put] {!Qcr_fault.Fault} points) is evicted and
     recompiled, never served.
 
+    {b Route table.}  No compiler phase reads a rotation angle, so a
+    cache miss next consults a route table keyed by
+    {!Compile_request.route_key}: the content the cache key covers with
+    the interaction's angles left out and its kind kept.  An entry is a
+    compact template of a full-quality compile (five bytes per gate and
+    the angle-free metrics).  A route hit re-stamps the request's angles
+    through {!Qcr_circuit.Program.rebind_gate}, recomputes the circuit
+    digest, and skips placement, routing, prediction and the tier ladder:
+    the reply is bit-identical to a cold compile, so a deadline request
+    on a known structure gets full quality.  Only outcomes compiled at
+    the requested tier become templates; [Bare_cz] has no angles and
+    uses the exact cache alone.  The table belongs to one service, lives
+    in memory only (never persisted or flushed), and holds at most
+    [cache_capacity] structures (0 disables it).  A route hit still
+    counts as a cache miss in {!stats}; the [service.route.hit] /
+    [service.route.miss] counters and a [("route", "hit")] trace phase
+    report it.
+
     {b Persistence.}  Passing [store] (a {!Cache_store.t} opened on a
     cache directory) warm-starts the cache from disk at {!create} —
     every persisted record is digest-validated and must parse back into
@@ -35,10 +53,12 @@
     restarted service with the same directory answers warm traffic
     immediately, bit-identically to the run that filled the cache.
 
-    {b Batching.}  {!run_batch} fans the distinct cold keys of a batch
-    over the default {!Qcr_par.Pool} and assembles replies sequentially
-    in request order, so replies, cache flags and hit/miss counts are
-    identical for every pool size.  Submit from one domain at a time (the
+    {b Batching.}  {!run_batch} fans the distinct cold structures of a
+    batch (one per route key, or per cache key without one) over the
+    default {!Qcr_par.Pool} and assembles replies sequentially in request
+    order, inserting templates as it goes: an angle sweep within one
+    batch compiles once, and replies, cache flags, route hits and
+    hit/miss counts are identical for every pool size.  Submit from one domain at a time (the
     same single-driver contract as the pool).
 
     {b Deadlines.}  [deadline_s] bounds a request's compute budget.  The
@@ -73,8 +93,9 @@ type stats = {
   cache_misses : int;
   cache_corrupt : int;  (** digest-validation failures: entries evicted
                             instead of served *)
-  served_ok : int;  (** compiled cold at the requested tier (cache hits
-                        count under [cache_hits] only) *)
+  served_ok : int;  (** compiled cold, or re-stamped from the route
+                        table, at the requested tier (cache hits count
+                        under [cache_hits] only) *)
   degraded : int;  (** compiled at a cheaper tier under deadline pressure *)
   timeouts : int;
   errors : int;  (** invalid requests and captured internal errors *)
@@ -111,7 +132,8 @@ val create :
   unit ->
   t
 (** Defaults: 512 cached replies over 16 shards (clamped down when the
-    capacity is smaller), no persistent store, {!Qcr_obs.Clock.wall},
+    capacity is smaller) and as many route-table structures, no
+    persistent store, {!Qcr_obs.Clock.wall},
     30000 A* node expansions for the portfolio arm, 2 retries with a
     5 ms backoff base, breakers opening after 5 consecutive failures for
     30 s.  With [store], the cache warm-starts from the store's
@@ -132,7 +154,8 @@ val create :
 val submit : t -> Compile_request.t -> Compile_reply.t
 
 val run_batch : t -> Compile_request.t list -> Compile_reply.t list
-(** Replies in request order; distinct cold keys compile in parallel.
+(** Replies in request order; distinct cold structures compile in
+    parallel.
     If the pool itself fails (e.g. {!Qcr_par.Pool.Worker_lost} surfacing
     through a combinator), the batch falls back to compiling inline on
     the submitting domain — a lost pool never loses a batch. *)

@@ -76,5 +76,7 @@ val run_driver :
   driver_result
 (** Full optimization loop: [compile] maps a parameterized program to a
     compiled circuit + final mapping (called once per evaluation with
-    fresh angles; structure is deterministic).  Uses Nelder–Mead
-    (COBYLA substitute). *)
+    fresh angles; structure is deterministic, so a compiler that never
+    reads an angle can compile the graph once and re-stamp the angles,
+    as [Qcr_core.Pipeline.rebind] does).  Uses Nelder–Mead (COBYLA
+    substitute). *)

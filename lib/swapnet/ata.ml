@@ -77,7 +77,10 @@ let region_schedule arch qubits =
         in
         (* Alignment: Sycamore diagonals flip with row parity, hexagon
            horizontal links depend on r + c parity; keep parities intact by
-           extending the box downward/leftward. *)
+           extending the box downward/leftward.  At the device's edge the
+           extension can fail to restore the hexagon parity (k0 clamped at
+           0, or shifted to make the sub-column even); such a box is
+           refused below, so the caller falls back to the full schedule. *)
         let u0, k0 =
           match Arch.kind arch with
           | Arch.Sycamore -> ((u0 / 2) * 2, k0)
@@ -106,7 +109,7 @@ let region_schedule arch qubits =
                 match Arch.kind arch with
                 | Arch.Grid -> Some (Arch.grid ~rows:su ~cols:sk)
                 | Arch.Sycamore when su >= 2 -> Some (Arch.sycamore ~rows:su ~cols:sk)
-                | Arch.Hexagon when sk >= 2 && sk mod 2 = 0 ->
+                | Arch.Hexagon when sk >= 2 && sk mod 2 = 0 && (k0 + u0) mod 2 = 0 ->
                     Some (Arch.hexagon ~rows:sk ~cols:su)
                 | _ -> None
               in

@@ -17,6 +17,8 @@ val region_schedule : Qcr_arch.Arch.t -> int list -> (Schedule.t * int list) opt
 (** [region_schedule arch qubits]: a schedule restricted to a sub-device
     region enclosing [qubits] with the same shape (a row/column band of the
     lattice), together with the physical qubits of that region.  [None]
-    when the architecture kind has no band structure (then use the full
-    [schedule]).  Tokens inside the region never leave it, so disjoint
+    when the architecture kind has no band structure, or when no band
+    enclosing [qubits] keeps the device's own edge rules (then use the
+    full [schedule]).  Every op of a region schedule acts on a coupled
+    pair of [arch].  Tokens inside the region never leave it, so disjoint
     regions run in parallel. *)

@@ -168,9 +168,52 @@ let test_qasm_output () =
   Alcotest.(check bool) "cx gate" true (contains "cx q[0],q[1];");
   Alcotest.(check bool) "merged lowered" true (contains "swap q[0],q[1];")
 
+(* [Gate.to_string] renders with [Printf] for speed; every reply's
+   circuit digest hashes its bytes, so they must stay exactly those of
+   the [Format] rendering it replaced.  The oracle below is that
+   rendering, checked over every constructor and the awkward floats. *)
+let format_oracle g =
+  let f = Format.asprintf in
+  match g with
+  | Gate.H q -> f "h q%d" q
+  | Gate.X q -> f "x q%d" q
+  | Gate.Rx (q, t) -> f "rx(%g) q%d" t q
+  | Gate.Rz (q, t) -> f "rz(%g) q%d" t q
+  | Gate.Cx (a, b) -> f "cx q%d,q%d" a b
+  | Gate.Cz (a, b) -> f "cz q%d,q%d" a b
+  | Gate.Cphase (a, b, t) -> f "cp(%g) q%d,q%d" t a b
+  | Gate.Rzz (a, b, t) -> f "rzz(%g) q%d,q%d" t a b
+  | Gate.Swap (a, b) -> f "swap q%d,q%d" a b
+  | Gate.Swap_interact (a, b, t) -> f "swap+cp(%g) q%d,q%d" t a b
+  | Gate.Swap_rzz (a, b, t) -> f "swap+rzz(%g) q%d,q%d" t a b
+  | Gate.Measure q -> f "measure q%d" q
+  | Gate.Barrier -> f "barrier"
+
+let test_gate_to_string_bytes () =
+  let angles =
+    [ 0.0; -0.0; 1.0; -3.0; 1e6; 123456.0; 1234567.0; 0.8; -0.35; 1e-300; 4.9e-324; -1e-7;
+      1.7976931348623157e308; 1e22; Float.pi; -.Float.pi /. 3.0 ]
+  in
+  let gates =
+    [ Gate.H 0; Gate.X 7; Gate.Cx (1, 2); Gate.Cz (12, 3); Gate.Swap (0, 1023); Gate.Measure 5;
+      Gate.Barrier ]
+    @ List.concat_map
+        (fun t ->
+          [ Gate.Rx (3, t); Gate.Rz (40, t); Gate.Cphase (0, 1, t); Gate.Rzz (2, 9, t);
+            Gate.Swap_interact (5, 4, t); Gate.Swap_rzz (10, 11, t) ])
+        angles
+  in
+  List.iter
+    (fun g ->
+      let expected = format_oracle g in
+      Alcotest.(check string) "to_string = Format rendering" expected (Gate.to_string g);
+      Alcotest.(check string) "pp = Format rendering" expected (Format.asprintf "%a" Gate.pp g))
+    gates
+
 let suite =
   [
     Alcotest.test_case "gate costs" `Quick test_gate_costs;
+    Alcotest.test_case "gate to_string bytes" `Quick test_gate_to_string_bytes;
     Alcotest.test_case "gate qubits" `Quick test_gate_qubits;
     Alcotest.test_case "circuit depth" `Quick test_circuit_depth;
     Alcotest.test_case "depth2q" `Quick test_depth2q_ignores_1q;

@@ -56,6 +56,34 @@ let test_qaoa_loop_beats_random () =
   Alcotest.(check bool) "beats random" true (d.Qaoa.best_energy < -4.2);
   Alcotest.(check int) "knows the optimum" 8 d.Qaoa.optimum_cut
 
+(* The paper's loop compiles once: re-stamping one compile with each
+   evaluation's angles gives exactly the energies of compiling afresh at
+   every evaluation, on a noisy device where placement is noise-aware. *)
+let test_qaoa_loop_compiles_once () =
+  let graph = Generate.erdos_renyi (Prng.create 5) ~n:7 ~density:0.4 in
+  let arch = Arch.smallest_for Arch.Heavy_hex 7 in
+  let noise = Noise.sampled ~seed:4 arch in
+  let compiles = ref 0 in
+  let compile p =
+    incr compiles;
+    Pipeline.run_exn (Pipeline.Request.make ~noise arch p)
+  in
+  let every p =
+    let r = compile p in
+    (r.Pipeline.circuit, r.Pipeline.final)
+  in
+  let once =
+    let r0 = compile (Program.make graph (Program.Qaoa_maxcut { gamma = 0.0; beta = 0.0 })) in
+    fun p ->
+      let r = Pipeline.rebind r0 p in
+      (r.Pipeline.circuit, r.Pipeline.final)
+  in
+  let energies compile = (Qaoa.run_driver ~rounds:6 ~noise ~graph ~compile ()).Qaoa.energies in
+  compiles := 0;
+  let rebound = energies once in
+  Alcotest.(check int) "no compile inside the loop" 0 !compiles;
+  Alcotest.(check (array (float 0.0))) "same energies" (energies every) rebound
+
 let test_noise_monotonicity () =
   (* more gate error => larger TVD against the ideal distribution *)
   let graph = Generate.cycle 6 in
@@ -123,6 +151,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_compiles_are_complete;
     Alcotest.test_case "qaoa loop beats random" `Slow test_qaoa_loop_beats_random;
+    Alcotest.test_case "qaoa loop compiles once" `Quick test_qaoa_loop_compiles_once;
     Alcotest.test_case "noise monotonicity" `Quick test_noise_monotonicity;
     Alcotest.test_case "merged gates roundtrip" `Quick test_merged_gates_roundtrip_sim;
     Alcotest.test_case "solver schedule realizes" `Quick test_solver_schedule_realizes;

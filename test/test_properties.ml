@@ -111,6 +111,76 @@ let prop_compile_deterministic =
       let a = Pipeline.run_exn (Pipeline.Request.make arch program) and b = Pipeline.run_exn (Pipeline.Request.make arch program) in
       a.Pipeline.depth = b.Pipeline.depth && a.Pipeline.cx = b.Pipeline.cx)
 
+(* Rebinding is exact: compile at angles A, re-stamp at angles B, and
+   the result equals compiling at B, gate for gate (angles bitwise) and
+   in every metric — for every arm, device family, noise setting and
+   interaction kind that has angles.  The portfolio arm races an A*
+   search that explodes on wide devices, so it runs only on line and
+   grid devices of at most 8 qubits. *)
+let angle_bits = function
+  | Gate.Rx (_, t) | Gate.Rz (_, t) | Gate.Cphase (_, _, t) | Gate.Rzz (_, _, t)
+  | Gate.Swap_interact (_, _, t) | Gate.Swap_rzz (_, _, t) ->
+      Int64.bits_of_float t
+  | Gate.H _ | Gate.X _ | Gate.Cx _ | Gate.Cz _ | Gate.Swap _ | Gate.Measure _ | Gate.Barrier -> 0L
+
+let same_result (a : Pipeline.result) (b : Pipeline.result) =
+  List.equal
+    (fun x y -> Gate.equal x y && angle_bits x = angle_bits y)
+    (Circuit.gates a.Pipeline.circuit) (Circuit.gates b.Pipeline.circuit)
+  && Circuit.qubit_count a.Pipeline.circuit = Circuit.qubit_count b.Pipeline.circuit
+  && Mapping.equal a.Pipeline.initial b.Pipeline.initial
+  && Mapping.equal a.Pipeline.final b.Pipeline.final
+  && a.Pipeline.depth = b.Pipeline.depth && a.Pipeline.cx = b.Pipeline.cx
+  && a.Pipeline.swap_count = b.Pipeline.swap_count
+  && Int64.bits_of_float a.Pipeline.log_fidelity = Int64.bits_of_float b.Pipeline.log_fidelity
+  && a.Pipeline.strategy = b.Pipeline.strategy
+
+let prop_rebind_exact =
+  let families = [ Arch.Line; Arch.Grid; Arch.Grid3d; Arch.Sycamore; Arch.Heavy_hex; Arch.Hexagon ] in
+  let modes =
+    Pipeline.Request.[ Ours; Greedy; Ata; Portfolio { astar_budget = 2000 } ]
+  in
+  (* every arm x family x noise x interaction kind, portfolio only where
+     its A* arm stays cheap *)
+  let cases =
+    List.concat_map
+      (fun mode ->
+        List.concat_map
+          (fun family ->
+            List.concat_map
+              (fun noisy -> List.map (fun kind -> (mode, family, noisy, kind)) [ 0; 1; 2 ])
+              [ false; true ])
+          (match mode with
+          | Pipeline.Request.Portfolio _ -> [ Arch.Line; Arch.Grid ]
+          | _ -> families))
+      modes
+  in
+  QCheck.Test.make ~name:"rebinding equals compiling at the new angles" ~count:3
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      List.for_all
+        (fun (mode, family, noisy, kind) ->
+          let n =
+            match mode with Pipeline.Request.Portfolio _ -> 3 + Prng.int rng 6 | _ -> 4 + Prng.int rng 9
+          in
+          let g = Generate.erdos_renyi rng ~n ~density:(0.2 +. Prng.float rng 0.5) in
+          let arch = Arch.smallest_for family n in
+          let noise = if noisy then Some (Qcr_arch.Noise.sampled ~seed arch) else None in
+          let angle () = if Prng.int rng 8 = 0 then 0.0 else Prng.float rng 6.0 -. 3.0 in
+          let interaction () =
+            match kind with
+            | 0 -> Program.Qaoa_maxcut { gamma = angle (); beta = angle () }
+            | 1 -> Program.Qaoa_level { gamma = angle (); beta = angle () }
+            | _ -> Program.Two_local { theta = angle () }
+          in
+          let compile p = Pipeline.run_exn (Pipeline.Request.make ?noise ~mode arch p) in
+          let at_a = Program.make g (interaction ()) and at_b = Program.make g (interaction ()) in
+          same_result (Pipeline.rebind (compile at_a) at_b) (compile at_b)
+          || QCheck.Test.fail_reportf "%s on %s, %d qubits, noise %b, interaction %d"
+               (Pipeline.Request.mode_name mode) (Arch.name arch) n noisy kind)
+        cases)
+
 (* ---- Parallel execution equivalence ------------------------------- *)
 
 module Statevector = Qcr_sim.Statevector
@@ -218,6 +288,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_realize_exact_edges;
     Alcotest.test_case "crosstalk layers clean" `Quick test_crosstalk_layers_clean;
     QCheck_alcotest.to_alcotest prop_compile_deterministic;
+    QCheck_alcotest.to_alcotest prop_rebind_exact;
     QCheck_alcotest.to_alcotest prop_statevector_par_seq_identical;
     QCheck_alcotest.to_alcotest prop_trajectory_domains_bit_identical;
   ]

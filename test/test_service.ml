@@ -13,11 +13,17 @@ module Service = Qcr_service.Service
 
 let triangle = [ (0, 1); (1, 2); (0, 2) ]
 
-(* Distinct [gamma] values give distinct cache keys over the same shape. *)
-let req ?mode ?deadline_s ?id ?trace gamma =
+let path = [ (0, 1); (1, 2); (2, 3) ]
+
+let star = [ (0, 1); (0, 2); (0, 3) ]
+
+(* Distinct [gamma] values give distinct cache keys over the same shape,
+   but one route key: a new [gamma] on a compiled shape is a route hit,
+   so a test that needs a cold compile changes the [edges] instead. *)
+let req ?mode ?deadline_s ?id ?trace ?(edges = triangle) gamma =
   Request.make ?id ?mode ?deadline_s ?trace
     ~interaction:(Program.Qaoa_maxcut { gamma; beta = 0.25 })
-    ~arch_kind:Qcr_arch.Arch.Line ~qubits:4 ~edges:triangle ()
+    ~arch_kind:Qcr_arch.Arch.Line ~qubits:4 ~edges ()
 
 let reply_body r = Json.to_string (Reply.strip_volatile (Reply.to_json { r with Reply.cached = false }))
 
@@ -116,8 +122,9 @@ let test_deadline_degradation () =
   step := 0.0;
   ignore (Service.submit s (req 0.22 ~mode:Request.Ours));
   step := 0.0;
-  (* 1 s budget: ours (predicted 10 s) is skipped, greedy (0.1 s) fits. *)
-  let degraded = Service.submit s (req 0.33 ~mode:Request.Ours ~deadline_s:1.0) in
+  (* 1 s budget: ours (predicted 10 s) is skipped, greedy (0.1 s) fits.
+     A new shape, so the route table cannot serve it at full quality. *)
+  let degraded = Service.submit s (req 0.33 ~edges:path ~mode:Request.Ours ~deadline_s:1.0) in
   step := 0.0;
   (match degraded.Reply.outcome with
   | Reply.Compiled { mode = Request.Greedy; _ } -> ()
@@ -125,7 +132,7 @@ let test_deadline_degradation () =
   Alcotest.(check string) "status" "degraded" (Reply.status_name degraded);
   Alcotest.(check bool) "marked degraded" true (Reply.degraded degraded);
   (* 0.05 s budget: no tier fits; the reply is a typed timeout. *)
-  let late = Service.submit s (req 0.44 ~mode:Request.Ours ~deadline_s:0.05) in
+  let late = Service.submit s (req 0.44 ~edges:star ~mode:Request.Ours ~deadline_s:0.05) in
   step := 0.0;
   (match late.Reply.outcome with
   | Reply.Failed (Pipeline.Timeout { deadline_s }) ->
@@ -137,7 +144,7 @@ let test_deadline_degradation () =
   (* degraded replies are not cached: resubmitting the degraded content
      misses again rather than replaying a deadline-shaped answer *)
   let misses_before = (Service.stats s).Service.cache_misses in
-  ignore (Service.submit s (req 0.33 ~mode:Request.Ours ~deadline_s:1.0));
+  ignore (Service.submit s (req 0.33 ~edges:path ~mode:Request.Ours ~deadline_s:1.0));
   step := 0.0;
   Alcotest.(check int) "degraded reply was not cached" (misses_before + 1)
     (Service.stats s).Service.cache_misses
@@ -192,8 +199,9 @@ let test_trace_phase_breakdown () =
   (* tracing is opt-in: the default reply carries no trace at all *)
   let plain = Service.submit s (req 0.4 ~id:"plain") in
   Alcotest.(check bool) "no trace unless requested" true (plain.Reply.trace = None);
-  (* a traced miss records the cache probe and the winning compile tier *)
-  let miss = Service.submit s (req 0.5 ~id:"cold" ~trace:true) in
+  (* a traced miss records the cache probe and the winning compile tier
+     (a new shape: a new gamma alone would be a route hit) *)
+  let miss = Service.submit s (req 0.5 ~edges:path ~id:"cold" ~trace:true) in
   (match miss.Reply.trace with
   | Some phases ->
       Alcotest.(check (list (triple string string string))) "miss phases"
@@ -204,7 +212,7 @@ let test_trace_phase_breakdown () =
         phases
   | None -> Alcotest.fail "traced request must carry a trace");
   (* a traced hit is a single cache phase *)
-  let hit = Service.submit s (req 0.5 ~id:"warm" ~trace:true) in
+  let hit = Service.submit s (req 0.5 ~edges:path ~id:"warm" ~trace:true) in
   (match hit.Reply.trace with
   | Some phases ->
       Alcotest.(check (list (triple string string string))) "hit phases"
@@ -259,6 +267,122 @@ let test_trace_stable_across_pool_sizes () =
          scan 0))
     at1
 
+(* ---------- route table ---------- *)
+
+(* An angle sweep over one noisy structure, as a QAOA loop sends it. *)
+let sweep ?deadline_s n =
+  List.init n (fun k ->
+      let x = float_of_int k in
+      Request.make ~id:(Printf.sprintf "p%d" k) ~trace:true ?deadline_s
+        ~interaction:(Program.Qaoa_maxcut { gamma = 0.1 +. (0.07 *. x); beta = 0.3 -. (0.05 *. x) })
+        ~arch_kind:Qcr_arch.Arch.Grid ~qubits:6 ~noise_seed:3
+        ~edges:[ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (0, 5); (1, 4) ]
+        ())
+
+let untraced r = Json.to_string (Reply.strip_volatile (Reply.to_json { r with Reply.trace = None }))
+
+let phases r = List.map phase_triple (Option.value r.Reply.trace ~default:[])
+
+let route_hits replies =
+  List.length (List.filter (fun r -> List.mem ("route", "hit", "hit") (phases r)) replies)
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Qcr_obs.Obs.snapshot ()).Qcr_obs.Obs.snap_counters)
+
+(* Every point after the first is a route hit: one tier attempt for the
+   whole sweep, through [submit] and through [run_batch], at 1 and 4
+   domains — and every reply equals a fresh service's cold compile of
+   that point, with the same phases on every path and pool size. *)
+let test_route_sweep () =
+  let n = 6 in
+  let reqs = sweep n in
+  let fresh = List.map (fun r -> untraced (Service.submit (Service.create ()) r)) reqs in
+  let run_at domains path =
+    let old = Pool.default_domain_count () in
+    Pool.set_default_domains domains;
+    Fun.protect
+      ~finally:(fun () -> Pool.set_default_domains old)
+      (fun () ->
+        let attempts = ref 0 in
+        let s = Service.create ~on_attempt:(fun _ -> incr attempts) () in
+        let replies, path_name =
+          match path with
+          | `Submit -> (List.map (Service.submit s) reqs, "submit")
+          | `Batch -> (Service.run_batch s reqs, "batch")
+        in
+        let label = Printf.sprintf "%s at %d domains" path_name domains in
+        Alcotest.(check (list string)) (label ^ ": replies equal fresh compiles") fresh
+          (List.map untraced replies);
+        Alcotest.(check int) (label ^ ": one tier attempt") 1 !attempts;
+        Alcotest.(check int) (label ^ ": route hits") (n - 1) (route_hits replies);
+        let st = Service.stats s in
+        Alcotest.(check (list int)) (label ^ ": hits, misses, served_ok") [ 0; n; n ]
+          [ st.Service.cache_hits; st.Service.cache_misses; st.Service.served_ok ];
+        List.map phases replies)
+  in
+  let reference = run_at 1 `Submit in
+  Alcotest.(check (list (list (triple string string string)))) "first compiles, the rest re-stamp"
+    ([ ("cache", "miss", "miss"); ("compile", "ours", "ok") ]
+    :: List.init (n - 1) (fun _ -> [ ("cache", "miss", "miss"); ("route", "hit", "hit") ]))
+    reference;
+  List.iter
+    (fun (domains, path) ->
+      Alcotest.(check (list (list (triple string string string)))) "identical trace phases" reference
+        (run_at domains path))
+    [ (4, `Submit); (1, `Batch); (4, `Batch) ]
+
+let test_route_counters () =
+  let was = Qcr_obs.Obs.enabled () in
+  Qcr_obs.Obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Qcr_obs.Obs.disable ())
+    (fun () ->
+      let hit0 = counter "service.route.hit" and miss0 = counter "service.route.miss" in
+      let s = Service.create () in
+      List.iter (fun r -> ignore (Service.submit s r)) (sweep 4);
+      (* an exact repeat is a cache hit and never consults the route table *)
+      ignore (Service.submit s (List.hd (sweep 1)));
+      Alcotest.(check (pair int int)) "route hits and misses" (3, 1)
+        (counter "service.route.hit" - hit0, counter "service.route.miss" - miss0))
+
+let test_route_capacity_zero () =
+  let attempts = ref 0 in
+  let s = Service.create ~cache_capacity:0 ~on_attempt:(fun _ -> incr attempts) () in
+  let replies = List.map (Service.submit s) (sweep 4) in
+  Alcotest.(check int) "no route hits" 0 (route_hits replies);
+  Alcotest.(check int) "every point compiles" 4 !attempts
+
+(* A route hit is served before the ladder: a deadline far too short for
+   any compile still gets the full-quality circuit of a known structure. *)
+let test_route_hit_beats_deadline () =
+  let first, point = match sweep ~deadline_s:1e-9 2 with [ a; b ] -> (a, b) | _ -> assert false in
+  let cold = Service.submit (Service.create ()) point in
+  (match cold.Reply.outcome with
+  | Reply.Failed (Pipeline.Timeout _) -> ()
+  | _ -> Alcotest.fail "a cold 1 ns deadline must time out");
+  let s = Service.create () in
+  ignore (Service.submit s { first with Request.deadline_s = None });
+  let warm = Service.submit s point in
+  Alcotest.(check string) "status" "ok" (Reply.status_name warm);
+  Alcotest.(check string) "the deadline-free compile"
+    (untraced (Service.submit (Service.create ()) { point with Request.deadline_s = None }))
+    (untraced warm)
+
+(* Seed 701's sr-59 of the suite-rerun benchmark: a noisy hexagon compile
+   whose ATA prediction once used a region schedule with uncoupled pairs,
+   so fidelity scoring raised and the reply degraded to the greedy tier. *)
+let sr_59 =
+  {|{"id":"sr-59","arch":{"kind":"hexagon","n":21},"program":{"qubits":21,"edges":[[0,2],[0,3],[0,10],[0,12],[0,15],[0,17],[1,2],[1,3],[1,7],[1,12],[1,13],[1,14],[1,15],[1,16],[1,17],[1,20],[2,4],[2,5],[2,6],[2,7],[2,8],[2,11],[2,12],[2,14],[2,17],[2,18],[2,20],[3,4],[3,5],[3,6],[3,9],[3,10],[3,11],[3,13],[3,14],[3,16],[3,17],[3,18],[3,20],[4,5],[4,13],[4,14],[4,15],[4,17],[4,18],[5,6],[5,7],[5,8],[5,11],[5,15],[5,17],[5,18],[5,19],[6,7],[6,9],[6,12],[6,13],[6,16],[6,17],[6,18],[7,13],[7,16],[7,17],[8,9],[8,11],[8,14],[8,17],[9,10],[9,14],[9,15],[9,16],[9,17],[9,18],[9,19],[10,11],[10,13],[10,14],[10,16],[10,17],[10,20],[11,16],[11,19],[12,13],[12,14],[12,17],[12,18],[12,19],[13,16],[13,18],[13,19],[14,15],[14,17],[14,18],[14,19],[15,17],[15,18],[15,19],[15,20],[17,19],[18,19]],"interaction":{"kind":"qaoa_maxcut","gamma":0.4,"beta":0.35}},"mode":"ours","noise_seed":755922}|}
+
+let test_hexagon_regression () =
+  let req =
+    match Result.bind (Json.of_string sr_59) Request.of_json with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let r = Service.submit (Service.create ()) req in
+  Alcotest.(check string) "sr-59 compiles at full quality" "ok" (Reply.status_name r)
+
 let suite =
   [
     Alcotest.test_case "submit caches repeats" `Quick test_submit_caches;
@@ -272,4 +396,9 @@ let suite =
     Alcotest.test_case "trace phase breakdown" `Quick test_trace_phase_breakdown;
     Alcotest.test_case "traced batch stable across pool sizes" `Quick
       test_trace_stable_across_pool_sizes;
+    Alcotest.test_case "route sweep compiles once" `Quick test_route_sweep;
+    Alcotest.test_case "route counters" `Quick test_route_counters;
+    Alcotest.test_case "route capacity zero" `Quick test_route_capacity_zero;
+    Alcotest.test_case "route hit beats deadline" `Quick test_route_hit_beats_deadline;
+    Alcotest.test_case "hexagon sr-59 regression" `Quick test_hexagon_regression;
   ]

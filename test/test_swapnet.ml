@@ -328,6 +328,32 @@ let test_region_whole_device_is_none () =
   Alcotest.(check bool) "whole device -> None" true
     (Ata.region_schedule arch (List.init 16 Fun.id) = None)
 
+(* Every box spanned by two qubits of a hexagon device up to 8x8 either
+   has no region or a region whose every op is a coupled pair: the band
+   keeps the full device's r + c parity, so its horizontal links exist. *)
+let test_region_hexagon_coupled () =
+  for rows = 1 to 4 do
+    for cols = 1 to 8 do
+      let arch = Arch.hexagon ~rows:(2 * rows) ~cols in
+      let coupling = Arch.graph arch in
+      let n = Arch.qubit_count arch in
+      for a = 0 to n - 1 do
+        for b = a to n - 1 do
+          match Ata.region_schedule arch [ a; b ] with
+          | None -> ()
+          | Some (sched, _) ->
+              List.iter
+                (List.iter (fun op ->
+                     let p, q = match op with Schedule.Swap (p, q) | Schedule.Touch (p, q) -> (p, q) in
+                     if not (Graph.has_edge coupling p q) then
+                       Alcotest.failf "%s box of (%d, %d): op on uncoupled (%d, %d)" (Arch.name arch) a
+                         b p q))
+                sched
+        done
+      done
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "linear coverage" `Quick test_linear_coverage;
@@ -358,4 +384,5 @@ let suite =
     Alcotest.test_case "estimate = realize" `Quick test_estimate_matches_realize;
     Alcotest.test_case "region schedule" `Quick test_region_schedule;
     Alcotest.test_case "region whole device" `Quick test_region_whole_device_is_none;
+    Alcotest.test_case "hexagon regions coupled" `Quick test_region_hexagon_coupled;
   ]
