@@ -22,10 +22,9 @@
    restart, deduped to its original job id by its idempotency key.
 
    The report goes to BENCH_chaos.json: invariant verdicts, outcome
-   counts, service resilience stats (retries, breaker trips, corrupt
-   evictions), the per-point fault table, pool supervision counts and
-   the persist-soak verdicts.  Any violated invariant exits non-zero,
-   so CI can gate on it. *)
+   counts, service stats (corrupt evictions among them), the per-point
+   fault table, pool supervision counts and the persist-soak verdicts.
+   Any violated invariant exits non-zero, so CI can gate on it. *)
 
 module Arch = Qcr_arch.Arch
 module Graph = Qcr_graph.Graph
@@ -77,8 +76,8 @@ let full_quality (r : Compile_reply.t) =
   | Compile_reply.Compiled { mode; _ } -> mode = r.Compile_reply.requested_mode
   | Compile_reply.Failed _ -> false
 
-(* The soak spec.  service.tier crashes often enough to exercise retries
-   and trip breakers; both cache sides corrupt entries so digest
+(* The soak spec.  service.tier crashes often enough that requests fall
+   down the tier ladder; both cache sides corrupt entries so digest
    validation must evict; pool.worker dies on its first task of each
    arming, exercising respawn.  All streams derive from seed=11. *)
 let soak_spec =
@@ -259,9 +258,7 @@ let serve_soak ~rounds batch expected =
       (fun (r : Compile_request.t) -> r.Compile_request.mode <> Compile_request.Portfolio)
       batch
   in
-  let service =
-    Service.create ~retries:2 ~backoff_s:0.0 ~breaker_threshold:3 ~breaker_cooldown_s:0.01 ()
-  in
+  let service = Service.create () in
   let port = Atomic.make 0 in
   let stopping = Atomic.make false in
   let config = { Qcr_net.Server.default_config with port = 0; tick_s = 0.002 } in
@@ -318,8 +315,8 @@ let serve_soak ~rounds batch expected =
           | Compile_reply.Compiled _ -> false
           | Compile_reply.Failed (Qcr_core.Pipeline.Invalid_request _) -> false
           | Compile_reply.Failed _ ->
-              (* a genuine typed failure (tier crashes exhausted the
-                 retries or tripped a breaker): served, not comparable *)
+              (* a genuine typed failure (every tier of the ladder
+                 crashed): served, not comparable *)
               incr completed;
               true)
   in
@@ -618,9 +615,7 @@ let run scale =
     (fun (r : Compile_reply.t) ->
       if full_quality r then Hashtbl.replace expected r.Compile_reply.key (reply_digest r))
     reference;
-  (* Soak: same batch, same service, [rounds] rounds under faults.  Fast
-     retries keep the soak tight; a low breaker threshold makes trips
-     observable at this scale. *)
+  (* Soak: same batch, same service, [rounds] rounds under faults. *)
   let spec =
     match Fault.spec_of_string soak_spec with
     | Ok s -> s
@@ -629,9 +624,7 @@ let run scale =
   Fault.arm spec;
   let pool = Pool.default () in
   let deaths0 = Pool.worker_deaths pool and respawns0 = Pool.respawns pool in
-  let service =
-    Service.create ~retries:2 ~backoff_s:0.0 ~breaker_threshold:3 ~breaker_cooldown_s:0.01 ()
-  in
+  let service = Service.create () in
   let escaped = ref [] in
   let order_ok = ref true in
   let mismatches = ref 0 in
@@ -689,15 +682,15 @@ let run scale =
   Printf.printf
     "  %d rounds x %d requests in %.1f ms | escapes=%d order_ok=%b ok-replies=%d mismatches=%d\n%!"
     rounds n_requests wall_ms (List.length !escaped) !order_ok !ok_compared !mismatches;
-  Printf.printf "  retries=%d breaker-trips=%d corrupt-evictions=%d | pool deaths=%d respawns=%d\n%!"
-    st.Service.retries st.Service.breaker_trips st.Service.cache_corrupt deaths respawns;
+  Printf.printf "  corrupt-evictions=%d | pool deaths=%d respawns=%d\n%!" st.Service.cache_corrupt
+    deaths respawns;
   List.iter
     (fun (name, hits, fired) -> Printf.printf "  point %-14s hits=%-5d fired=%d\n%!" name hits fired)
     fault_table;
   Json.to_file output_file
     (Json.Obj
        [
-         ("schema", Json.Str "qcr-bench-chaos/v4");
+         ("schema", Json.Str "qcr-bench-chaos/v5");
          ("generated_by", Json.Str "dune exec bench/main.exe -- chaos");
          ( "scale",
            Json.Str
@@ -723,7 +716,7 @@ let run scale =
            Json.Obj
              (Hashtbl.fold (fun k v acc -> (k, Json.Num (float_of_int v)) :: acc) outcomes []
              |> List.sort compare) );
-         ("stats", Service.stats_to_json ~breakers:(Service.breaker_states service) st);
+         ("stats", Service.stats_to_json st);
          ( "faults",
            Json.Arr
              (List.map

@@ -1,4 +1,4 @@
-(* Compilation-service benchmark, three sections into BENCH_service.json:
+(* Compilation-service benchmark, two sections into BENCH_service.json:
 
    - cold/warm: push a batch of mixed requests (sizes, devices, modes,
      with duplicates) through one [Qcr_service.Service] twice — a cold
@@ -6,11 +6,6 @@
      served from it — recording throughput and hit rate.  The replies
      digest witnesses determinism: it must be identical across passes
      and for every QCR_DOMAINS value.
-   - contention: hammer a raw [Qcr_util.Sharded_cache] from explicit
-     domain pools, crossing shards {1, 16} with domains {1, 4}; the
-     single-shard rows are the old single-lock cache's behaviour, so the
-     16-shard/4-domain speedup over 1-shard/4-domain is the win the
-     sharding buys under load.
    - restart: fill a store-backed service, flush, reopen the same
      directory in a fresh service and replay — measuring cold vs
      warm-restart p99 submit latency and asserting the warm pass is
@@ -29,8 +24,6 @@ module Service = Qcr_service.Service
 module Cache_store = Qcr_service.Cache_store
 module Compile_request = Qcr_service.Compile_request
 module Compile_reply = Qcr_service.Compile_reply
-module Sharded_cache = Qcr_util.Sharded_cache
-module Pool = Qcr_par.Pool
 
 let output_file = "BENCH_service.json"
 
@@ -77,47 +70,6 @@ let semantic_digest replies =
   |> Digest64.to_hex
 
 let stats_fields (s : Service.stats) = Service.stats_to_json s
-
-(* ---------- contention: sharded vs single-lock under domain pools ---------- *)
-
-(* A find-heavy synthetic load (1 add per 64 finds over 256 hot keys —
-   the shape of warm serving traffic) against the cache itself, no
-   compilation, so wall time is pure lock-and-lookup cost. *)
-let contention_keys = Array.init 256 (fun i -> Printf.sprintf "bench-key-%032d" i)
-
-let hammer cache ~ops ~lo =
-  for i = lo to lo + ops - 1 do
-    let key = contention_keys.(((i * 7) + (i lsr 5)) mod Array.length contention_keys) in
-    if i mod 64 = 63 then Sharded_cache.add cache key key
-    else ignore (Sharded_cache.find cache key)
-  done
-
-let contention_row ~shards ~domains ~ops =
-  let cache =
-    Sharded_cache.create ~shards ~weight:String.length ~capacity:(Array.length contention_keys) ()
-  in
-  Array.iter (fun key -> Sharded_cache.add cache key key) contention_keys;
-  let pool = Pool.create ~domains in
-  (* one warm-up chunk so domain spawn cost stays out of the timing *)
-  Pool.for_range pool ~chunks:domains ~lo:0 ~hi:domains (fun lo hi ->
-      ignore (lo, hi));
-  let t0 = Unix.gettimeofday () in
-  Pool.for_range pool ~chunks:domains ~lo:0 ~hi:ops (fun lo hi ->
-      hammer cache ~ops:(hi - lo) ~lo);
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  Pool.shutdown pool;
-  let ops_per_s = float_of_int ops /. (wall_ms /. 1000.0) in
-  Printf.printf "  contention: shards=%2d domains=%d  %9d ops in %8.2f ms  %12.0f ops/s\n%!"
-    shards domains ops wall_ms ops_per_s;
-  ( (shards, domains, ops_per_s),
-    Json.Obj
-      [
-        ("shards", Json.Num (float_of_int shards));
-        ("domains", Json.Num (float_of_int domains));
-        ("ops", Json.Num (float_of_int ops));
-        ("wall_ms", Json.Num wall_ms);
-        ("ops_per_s", Json.Num ops_per_s);
-      ] )
 
 (* ---------- restart: cold start vs warm restart from disk ---------- *)
 
@@ -212,21 +164,6 @@ let run scale =
   let warm_replies, warm_row = timed_pass "warm" in
   let identical = semantic_digest cold_replies = semantic_digest warm_replies in
   if not identical then Printf.printf "  WARNING: warm replies differ from cold replies\n%!";
-  let contention_ops =
-    match scale with Common.Quick -> 100_000 | Common.Default -> 1_000_000 | Common.Full -> 4_000_000
-  in
-  let contention =
-    List.map
-      (fun (shards, domains) -> contention_row ~shards ~domains ~ops:contention_ops)
-      [ (1, 1); (16, 1); (1, 4); (16, 4) ]
-  in
-  let ops_at shards domains =
-    List.fold_left
-      (fun acc ((s, d, ops_per_s), _) -> if s = shards && d = domains then ops_per_s else acc)
-      0.0 contention
-  in
-  let speedup_4d = ops_at 16 4 /. ops_at 1 4 in
-  Printf.printf "  contention: sharded vs single-lock speedup at 4 domains: %.2fx\n%!" speedup_4d;
   let restart = restart_section base in
   (* untimed counter pass on a fresh service, so the timed passes above
      ran with the telemetry sink off (comparable to the baseline) *)
@@ -236,7 +173,7 @@ let run scale =
   Json.to_file output_file
     (Json.Obj
        [
-         ("schema", Json.Str "qcr-bench-service/v2");
+         ("schema", Json.Str "qcr-bench-service/v3");
          ("generated_by", Json.Str "dune exec bench/main.exe -- service");
          ( "scale",
            Json.Str
@@ -250,8 +187,6 @@ let run scale =
          ("passes", Json.Arr [ cold_row; warm_row ]);
          ("cold_equals_warm", Json.Bool identical);
          ("replies_digest", Json.Str (replies_digest warm_replies));
-         ("contention", Json.Arr (List.map snd contention));
-         ("sharded_speedup_4d", Json.Num speedup_4d);
          ("restart", restart);
          ( "counters",
            Json.Obj

@@ -346,11 +346,10 @@ let flush_store ~on_error service =
 let pass_summary label (d : Service.stats) =
   Printf.printf
     "%s: %d requests | %d hits %d misses | ok=%d degraded=%d timeouts=%d errors=%d \
-     retries=%d trips=%d corrupt=%d\n\
+     corrupt=%d\n\
      %!"
     label d.Service.requests d.Service.cache_hits d.Service.cache_misses d.Service.served_ok
-    d.Service.degraded d.Service.timeouts d.Service.errors d.Service.retries
-    d.Service.breaker_trips d.Service.cache_corrupt
+    d.Service.degraded d.Service.timeouts d.Service.errors d.Service.cache_corrupt
 
 let batch_cmd =
   let file_arg =
@@ -388,7 +387,6 @@ let batch_cmd =
     write_eventlog log eventlog;
     let json =
       Service.replies_to_json ~passes:(List.rev !passes)
-        ~breakers:(Service.breaker_states service)
         ~domains:(Qcr_par.Pool.default_domain_count ())
         ~stats:(Service.stats service) !last_replies
     in

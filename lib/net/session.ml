@@ -94,9 +94,7 @@ let handle_op t ~client op =
         (Protocol.ok_reply
            ([
               ( "stats",
-                Service.stats_to_json
-                  ~breakers:(Service.breaker_states t.service)
-                  ~cache:(Service.cache_info t.service)
+                Service.stats_to_json ~cache_bytes:(Service.cache_bytes t.service)
                   (Service.stats t.service) );
               ("jobs", Jobs.stats_json t.jobs);
             ]

@@ -17,10 +17,10 @@
       "error": { "kind": "timeout", "deadline_s": 0.5 },   // status=error
       "cached": true, "compile_ms": 12.25,
       "trace": [ { "phase": "cache", "detail": "miss",     // request had
-                   "outcome": "ok", "retries": 0,          // "trace": true
+                   "outcome": "miss", "retries": 0,        // "trace": true
                    "ms": 0.01 },
                  { "phase": "compile", "detail": "ours",
-                   "outcome": "ok", "retries": 1, "ms": 12.2 } ] }
+                   "outcome": "ok", "retries": 0, "ms": 12.2 } ] }
     v} *)
 
 type metrics = {
@@ -45,10 +45,12 @@ type phase = {
           route table *)
   p_outcome : string;
       (** ["ok"], ["miss"], ["hit"], ["discarded"] (finished past the
-          deadline), ["breaker_open"], ["not_admitted"] (cost model says
-          it cannot fit the budget), ["timeout"], ["invalid_request"] or
-          ["internal"] *)
-  p_retries : int;  (** retries consumed within this phase *)
+          deadline), ["not_admitted"] (cost model says it cannot fit the
+          budget), ["timeout"], ["invalid_request"] or ["internal"] *)
+  p_retries : int;
+      (** always 0: the service attempts each tier once.  The
+          ["retries"] key stays on the wire because journals store reply
+          bytes. *)
   p_ms : float;  (** volatile; see {!strip_volatile} *)
 }
 

@@ -9,9 +9,7 @@ module Obs = Qcr_obs.Obs
 module Registry = Qcr_obs.Registry
 module Eventlog = Qcr_obs.Eventlog
 module Json = Qcr_obs.Json
-module Sharded_cache = Qcr_util.Sharded_cache
 module Lru = Qcr_util.Lru
-module Prng = Qcr_util.Prng
 module Digest64 = Qcr_util.Digest64
 module Pool = Qcr_par.Pool
 module Fault = Qcr_fault.Fault
@@ -38,12 +36,6 @@ let c_error = Obs.counter "service.error"
 
 let c_attempt = Obs.counter "service.tier_attempts"
 
-let c_retry = Obs.counter "service.retries"
-
-let c_breaker_trip = Obs.counter "service.breaker.trips"
-
-let c_breaker_skip = Obs.counter "service.breaker.skips"
-
 let c_boundary = Obs.counter "service.boundary_catches"
 
 (* Injection points: a [service.tier] crash fails one compile attempt, a
@@ -65,7 +57,6 @@ type stats = {
   timeouts : int;
   errors : int;
   retries : int;
-  breaker_trips : int;
 }
 
 let zero_stats =
@@ -79,7 +70,6 @@ let zero_stats =
     timeouts = 0;
     errors = 0;
     retries = 0;
-    breaker_trips = 0;
   }
 
 let stats_sub a b =
@@ -93,10 +83,9 @@ let stats_sub a b =
     timeouts = a.timeouts - b.timeouts;
     errors = a.errors - b.errors;
     retries = a.retries - b.retries;
-    breaker_trips = a.breaker_trips - b.breaker_trips;
   }
 
-let stats_to_json ?breakers ?cache s =
+let stats_to_json ?cache_bytes s =
   let int_field n v = (n, Json.Num (float_of_int v)) in
   Json.Obj
     ([
@@ -108,20 +97,10 @@ let stats_to_json ?breakers ?cache s =
        int_field "degraded" s.degraded;
        int_field "timeouts" s.timeouts;
        int_field "errors" s.errors;
-       int_field "retries" s.retries;
-       int_field "breaker_trips" s.breaker_trips;
      ]
-    @ (match cache with
-      | None -> []
-      | Some (shards, cache_bytes) ->
-          [ int_field "shards" shards; int_field "cache_bytes" cache_bytes ])
-    @
-    match breakers with
-    | None -> []
-    | Some states ->
-        [ ("breakers", Json.Obj (List.map (fun (tier, st) -> (tier, Json.Str st)) states)) ])
+    @ match cache_bytes with None -> [] | Some b -> [ int_field "cache_bytes" b ])
 
-(* Tier indices for the cost model and the circuit breakers. *)
+(* Tier indices for the cost model and the per-tier latency meters. *)
 let tier_index = function
   | Request.Portfolio -> 0
   | Request.Ours -> 1
@@ -137,22 +116,6 @@ let m_request_ms = Registry.meter "service.request_ms"
 
 let tier_meters =
   Array.map (fun name -> Registry.meter ~labels:[ ("tier", name) ] "service.compile_ms") tier_names
-
-(* Per-tier circuit breaker.  Closed counts the consecutive-failure
-   streak; at [threshold] it opens for [cooldown_s] seconds of the
-   service clock, during which the tier is skipped (the ladder moves on
-   to cheaper tiers).  Once cooled it half-opens: attempts are admitted
-   as probes, one success recloses it, one failure reopens it. *)
-type breaker_state =
-  | Closed
-  | Open of float (* reopens for probing at this clock reading *)
-  | Half_open
-
-type breaker = {
-  mutable b_state : breaker_state;
-  mutable streak : int; (* consecutive failures while closed *)
-  mutable trips : int; (* cumulative open transitions *)
-}
 
 type entry = {
   e_reply : Reply.t;
@@ -172,29 +135,18 @@ type template = {
   gates : Bytes.t;
 }
 
+(* [cache], [routes] and [st] are touched on the driver domain only;
+   cold compiles also run on pool workers, so [costs] sits behind [lock]. *)
 type t = {
-  cache : entry Sharded_cache.t;  (* per-shard locks of its own: cache
-                                     traffic never touches [lock] *)
+  cache : entry Lru.t;  (* cache key -> validated reply *)
   store : Cache_store.t option;  (* disk-backed warm-restart store *)
-  lock : Mutex.t;  (* guards [costs], [breakers] and [retry_rng] only;
-                      stats mutate on the driver domain only, except
-                      [retries_total] (atomic) and the cache counters
-                      (per-shard, merged at read time) *)
+  lock : Mutex.t;  (* guards [costs] *)
   clock : Clock.t;
   astar_budget : int;
   on_attempt : Request.mode -> unit;
   costs : float array;  (* EWMA compile seconds per program edge, per tier *)
-  breakers : breaker array;
-  retries : int;
-  backoff_s : float;
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
-  sleep : float -> unit;
-  retry_rng : Prng.t; (* jitter stream, seeded: backoff is reproducible *)
-  retries_total : int Atomic.t;
   eventlog : Eventlog.t option;
-  routes : template Lru.t;  (* route key -> template; driver domain only,
-                               like [st] *)
+  routes : template Lru.t;  (* route key -> template *)
   mutable st : stats;
 }
 
@@ -228,50 +180,35 @@ let persist_body (r : Reply.t) =
 
 (* Warm-start the cache from a store: each validated record must parse
    back into a full-quality reply whose own cache key matches the record
-   key; anything else counts as a corrupt entry and is left behind (the
-   next flush rewrites it from a fresh compile). *)
+   key; anything else is left behind (the next flush rewrites it from a
+   fresh compile).  Returns the corrupt count: those records plus the
+   ones the store itself skipped. *)
 let load_store cache store =
-  List.iter
-    (fun (key, body) ->
-      match Json.of_string body with
-      | Ok j -> (
-          match Reply.of_json j with
-          | Ok r when cacheable r && r.Reply.key = key ->
-              Sharded_cache.add cache key (entry_of_reply r)
-          | _ -> Sharded_cache.note_corrupt cache key)
-      | Error _ -> Sharded_cache.note_corrupt cache key)
-    (Cache_store.entries store)
+  List.fold_left
+    (fun corrupt (key, body) ->
+      match Result.bind (Json.of_string body) Reply.of_json with
+      | Ok r when cacheable r && r.Reply.key = key ->
+          Lru.add cache key (entry_of_reply r);
+          corrupt
+      | _ -> corrupt + 1)
+    (Cache_store.corrupt_skipped store) (Cache_store.entries store)
+
+let cache_bytes t = Lru.fold (fun _ e acc -> acc + entry_weight e) t.cache 0
+
+let cache_entries t = Lru.length t.cache
 
 (* Registry probes for this instance's gauges.  Probes replace by (name,
    labels), so creating a new service re-points them at the newest
    instance instead of growing the probe table — tests that build many
    services stay bounded. *)
 let register_probes t =
-  Registry.register_probe "service.cache_bytes" (fun () ->
-      float_of_int (Sharded_cache.bytes t.cache));
-  Registry.register_probe "service.cache_shards" (fun () ->
-      float_of_int (Sharded_cache.shard_count t.cache));
-  Registry.register_probe "service.cache_entries" (fun () ->
-      float_of_int (Sharded_cache.length t.cache));
-  Array.iteri
-    (fun i name ->
-      Registry.register_probe ~labels:[ ("tier", name) ] "service.breaker_state" (fun () ->
-          Mutex.lock t.lock;
-          let v =
-            match t.breakers.(i).b_state with Closed -> 0.0 | Half_open -> 1.0 | Open _ -> 2.0
-          in
-          Mutex.unlock t.lock;
-          v))
-    tier_names
+  Registry.register_probe "service.cache_bytes" (fun () -> float_of_int (cache_bytes t));
+  Registry.register_probe "service.cache_entries" (fun () -> float_of_int (cache_entries t))
 
-let create ?(cache_capacity = 512) ?(cache_shards = 16) ?store ?(clock = Clock.wall)
-    ?(astar_budget = 30_000) ?(on_attempt = fun _ -> ()) ?(retries = 2) ?(backoff_s = 0.005)
-    ?(breaker_threshold = 5) ?(breaker_cooldown_s = 30.0) ?(retry_seed = 0x51ee7)
-    ?(sleep = fun s -> if s > 0.0 then Unix.sleepf s) ?eventlog () =
-  let cache =
-    Sharded_cache.create ~shards:cache_shards ~weight:entry_weight ~capacity:cache_capacity ()
-  in
-  Option.iter (load_store cache) store;
+let create ?(cache_capacity = 512) ?store ?(clock = Clock.wall) ?(astar_budget = 30_000)
+    ?(on_attempt = fun _ -> ()) ?eventlog () =
+  let cache = Lru.create ~capacity:cache_capacity in
+  let corrupt = match store with Some s -> load_store cache s | None -> 0 in
   let t =
     {
       cache;
@@ -281,17 +218,9 @@ let create ?(cache_capacity = 512) ?(cache_shards = 16) ?store ?(clock = Clock.w
       astar_budget;
       on_attempt;
       costs = Array.make 4 0.0;
-      breakers = Array.init 4 (fun _ -> { b_state = Closed; streak = 0; trips = 0 });
-      retries = max 0 retries;
-      backoff_s = Float.max 0.0 backoff_s;
-      breaker_threshold = max 1 breaker_threshold;
-      breaker_cooldown_s = Float.max 0.0 breaker_cooldown_s;
-      sleep;
-      retry_rng = Prng.create retry_seed;
-      retries_total = Atomic.make 0;
       eventlog;
       routes = Lru.create ~capacity:cache_capacity;
-      st = zero_stats;
+      st = { zero_stats with cache_corrupt = corrupt };
     }
   in
   register_probes t;
@@ -301,29 +230,7 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let breaker_trips t =
-  locked t (fun () -> Array.fold_left (fun acc b -> acc + b.trips) 0 t.breakers)
-
-(* Cache counters merge per-shard (each mutated only under its shard
-   lock) plus the store's load-time skips, so they are exact under
-   sharding instead of racing one shared record. *)
-let stats t =
-  let c = Sharded_cache.stats t.cache in
-  let store_corrupt =
-    match t.store with Some s -> Cache_store.corrupt_skipped s | None -> 0
-  in
-  {
-    t.st with
-    cache_hits = c.Sharded_cache.hits;
-    cache_misses = c.Sharded_cache.misses;
-    cache_corrupt = c.Sharded_cache.corrupt + store_corrupt;
-    retries = Atomic.get t.retries_total;
-    breaker_trips = breaker_trips t;
-  }
-
-let cache_info t = (Sharded_cache.shard_count t.cache, Sharded_cache.bytes t.cache)
-
-let cache_entries t = Sharded_cache.length t.cache
+let stats t = t.st
 
 (* Persist every cached entry the store does not hold yet.  Content
    addressing makes this idempotent: a key, once written, is never
@@ -333,52 +240,12 @@ let flush t =
   | None -> Ok 0
   | Some store ->
       let fresh =
-        Sharded_cache.fold
+        Lru.fold
           (fun key e acc ->
             if Cache_store.mem store key then acc else (key, persist_body e.e_reply) :: acc)
           t.cache []
       in
       Cache_store.append store fresh
-
-let state_name = function Closed -> "closed" | Open _ -> "open" | Half_open -> "half_open"
-
-let breaker_states t =
-  locked t (fun () ->
-      Array.to_list (Array.mapi (fun i b -> (tier_names.(i), state_name b.b_state)) t.breakers))
-
-(* Breaker transitions; [now] is a reading of the service clock. *)
-let breaker_admits t tier now =
-  locked t (fun () ->
-      let b = t.breakers.(tier_index tier) in
-      match b.b_state with
-      | Closed | Half_open -> true
-      | Open until when now >= until ->
-          b.b_state <- Half_open;
-          true
-      | Open _ -> false)
-
-let breaker_success t tier =
-  locked t (fun () ->
-      let b = t.breakers.(tier_index tier) in
-      b.b_state <- Closed;
-      b.streak <- 0)
-
-let breaker_failure t tier now =
-  locked t (fun () ->
-      let b = t.breakers.(tier_index tier) in
-      b.streak <- b.streak + 1;
-      match b.b_state with
-      | Half_open ->
-          (* the probe failed: straight back to open *)
-          b.b_state <- Open (now +. t.breaker_cooldown_s);
-          b.trips <- b.trips + 1;
-          Obs.incr c_breaker_trip
-      | Closed when b.streak >= t.breaker_threshold ->
-          b.b_state <- Open (now +. t.breaker_cooldown_s);
-          b.trips <- b.trips + 1;
-          b.streak <- 0;
-          Obs.incr c_breaker_trip
-      | Closed | Open _ -> ())
 
 (* Degradation ladder (portfolio -> full system -> pure greedy); rigid
    ATA requests have no meaningful cheaper tier. *)
@@ -411,19 +278,6 @@ let attempt_once pipeline_req =
       let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
       Error (Pipeline.Internal (Printexc.to_string e ^ backtrace_suffix bt))
 
-(* Seeded exponential backoff with full jitter: attempt [k] (0-based)
-   waits [backoff_s * 2^k * u], u uniform in [1, 2). *)
-let backoff_delay t k =
-  let u = locked t (fun () -> 1.0 +. Prng.float t.retry_rng 1.0) in
-  t.backoff_s *. Float.of_int (1 lsl k) *. u
-
-(* Walk the ladder.  Admission is predictive: a tier runs only when its
-   breaker allows it and the cost model says it fits the remaining
-   budget (the first attempt of a tier is always admitted — its cost is
-   still unknown).  A tier that completes past its deadline is
-   discarded: its timing feeds the model, and the walk continues with
-   the cheaper tiers.  Transient ([Internal]) failures retry with
-   backoff, feed the breaker, and fall through to the next tier. *)
 let error_kind = function
   | Pipeline.Timeout _ -> "timeout"
   | Pipeline.Invalid_request _ -> "invalid_request"
@@ -520,6 +374,17 @@ let route_find t = function
       Obs.incr (if found = None then c_route_miss else c_route_hit);
       found
 
+let trace_phase phase detail outcome ms =
+  { Reply.p_phase = phase; p_detail = detail; p_outcome = outcome; p_retries = 0; p_ms = ms }
+
+(* Walk the ladder.  Admission is predictive: a tier runs only when the
+   cost model says it fits the remaining budget (the first attempt of a
+   tier is always admitted — its cost is still unknown).  A tier that
+   completes past its deadline is discarded: its timing feeds the model,
+   and the walk continues with the cheaper tiers.  A tier that fails
+   ([Internal], e.g. an injected crash) is attempted once and the walk
+   falls through; an [Invalid_request] ends it, since no cheaper tier can
+   fix the request. *)
 let compile_cold t (req : Request.t) key ~route =
   let span_args =
     if req.Request.id = "" then [] else [ ("req", req.Request.id) ]
@@ -532,17 +397,9 @@ let compile_cold t (req : Request.t) key ~route =
      every non-timing field are deterministic for a given seed; only the
      [ms] readings vary (and are stripped by [Reply.strip_volatile]). *)
   let phases = ref [] in
-  let push ~tier ~outcome ~retries ~ms =
+  let push tier outcome ms =
     if req.Request.trace then
-      phases :=
-        {
-          Reply.p_phase = "compile";
-          p_detail = tier_names.(tier_index tier);
-          p_outcome = outcome;
-          p_retries = retries;
-          p_ms = ms;
-        }
-        :: !phases
+      phases := trace_phase "compile" tier_names.(tier_index tier) outcome ms :: !phases
   in
   let exhausted last_err =
     ( Reply.Failed
@@ -558,71 +415,50 @@ let compile_cold t (req : Request.t) key ~route =
     | [] -> exhausted last_err
     | tier :: rest -> (
         let now = Clock.now t.clock in
-        if not (breaker_admits t tier now) then begin
-          Obs.incr c_breaker_skip;
-          push ~tier ~outcome:"breaker_open" ~retries:0 ~ms:0.0;
+        let admitted =
+          match deadline with
+          | None -> true
+          | Some d -> now < d && now +. predicted_cost t tier ~edges <= d
+        in
+        if not admitted then begin
+          push tier "not_admitted" 0.0;
           attempt last_err rest
         end
         else
-          let admitted =
-            match deadline with
-            | None -> true
-            | Some d -> now < d && now +. predicted_cost t tier ~edges <= d
+          let arch = Request.arch_of req in
+          let pipeline_req =
+            Pipeline.Request.make ~id:req.Request.id ~config:(Request.config_of req)
+              ?noise:(Request.noise_of req arch)
+              ~mode:(Request.pipeline_mode ~astar_budget:t.astar_budget { req with Request.mode = tier })
+              arch (Request.program_of req)
           in
-          if not admitted then begin
-            push ~tier ~outcome:"not_admitted" ~retries:0 ~ms:0.0;
-            attempt last_err rest
-          end
-          else begin
-            let arch = Request.arch_of req in
-            let pipeline_req =
-              Pipeline.Request.make ~id:req.Request.id ~config:(Request.config_of req)
-                ?noise:(Request.noise_of req arch)
-                ~mode:(Request.pipeline_mode ~astar_budget:t.astar_budget { req with Request.mode = tier })
-                arch (Request.program_of req)
-            in
-            let tier_start = Clock.now t.clock in
-            let rec try_tier k =
-              t.on_attempt tier;
-              Obs.incr c_attempt;
-              let t_start = Clock.now t.clock in
-              let outcome = attempt_once pipeline_req in
-              let t_end = Clock.now t.clock in
-              observe_cost t tier ~edges (t_end -. t_start);
-              Registry.observe tier_meters.(tier_index tier) ((t_end -. t_start) *. 1000.0);
-              match outcome with
-              | Error (Pipeline.Internal _) when k < t.retries ->
-                  Obs.incr c_retry;
-                  Atomic.incr t.retries_total;
-                  t.sleep (backoff_delay t k);
-                  try_tier (k + 1)
-              | outcome -> (outcome, t_end, k)
-            in
-            let tier_ms t_end = (t_end -. tier_start) *. 1000.0 in
-            match try_tier 0 with
-            | Error (Pipeline.Invalid_request _ as e), t_end, k ->
-                (* deterministic rejection: no cheaper tier can fix it,
-                   and it says nothing about the tier's health *)
-                push ~tier ~outcome:(error_kind e) ~retries:k ~ms:(tier_ms t_end);
-                (Reply.Failed e, None)
-            | Error e, t_end, k ->
-                breaker_failure t tier t_end;
-                push ~tier ~outcome:(error_kind e) ~retries:k ~ms:(tier_ms t_end);
-                attempt (Some e) rest
-            | Ok res, t_end, k -> (
-                breaker_success t tier;
-                match deadline with
-                | Some d when t_end > d ->
-                    push ~tier ~outcome:"discarded" ~retries:k ~ms:(tier_ms t_end);
-                    attempt last_err rest
-                | _ ->
-                    push ~tier ~outcome:"ok" ~retries:k ~ms:(tier_ms t_end);
-                    let metrics = Reply.metrics_of_result res in
-                    ( Reply.Compiled { mode = tier; metrics },
-                      if route && tier = req.Request.mode then
-                        template_of pipeline_req.Pipeline.Request.program res metrics
-                      else None ))
-          end)
+          t.on_attempt tier;
+          Obs.incr c_attempt;
+          let t_start = Clock.now t.clock in
+          let outcome = attempt_once pipeline_req in
+          let t_end = Clock.now t.clock in
+          let ms = (t_end -. t_start) *. 1000.0 in
+          observe_cost t tier ~edges (t_end -. t_start);
+          Registry.observe tier_meters.(tier_index tier) ms;
+          match outcome with
+          | Error (Pipeline.Invalid_request _ as e) ->
+              push tier (error_kind e) ms;
+              (Reply.Failed e, None)
+          | Error e ->
+              push tier (error_kind e) ms;
+              attempt (Some e) rest
+          | Ok res -> (
+              match deadline with
+              | Some d when t_end > d ->
+                  push tier "discarded" ms;
+                  attempt last_err rest
+              | _ ->
+                  push tier "ok" ms;
+                  let metrics = Reply.metrics_of_result res in
+                  ( Reply.Compiled { mode = tier; metrics },
+                    if route && tier = req.Request.mode then
+                      template_of pipeline_req.Pipeline.Request.program res metrics
+                    else None )))
   in
   let outcome, template = attempt None (ladder req.Request.mode) in
   ( {
@@ -646,24 +482,24 @@ let cache_put t key r =
          the content-addressed circuit *)
       let entry = entry_of_reply { r with Reply.trace = None } in
       let entry = { entry with canon = Fault.corrupt cache_put_point entry.canon } in
-      Sharded_cache.add t.cache key entry
+      Lru.add t.cache key entry
     with
     | (Out_of_memory | Stack_overflow) as e -> raise e
     | _ -> ()
 
 (* Look up through the [cache.get] fault point and validate: an entry
    whose bytes no longer match their digest is evicted and the request
-   falls through to a fresh compile — a corrupted entry is never
-   served.  [evict_corrupt] reclassifies the shard's hit as a miss, so
-   the merged hit count stays "replies actually served from cache". *)
+   falls through to a fresh compile — a corrupted entry is never served,
+   and its lookup counts as a miss. *)
 let cache_get t key =
-  match Sharded_cache.find t.cache key with
+  match Lru.find t.cache key with
   | None -> None
   | Some entry ->
       let canon = Fault.corrupt cache_get_point entry.canon in
       if Digest64.of_string canon = entry.digest then Some entry.e_reply
       else begin
-        Sharded_cache.evict_corrupt t.cache key;
+        Lru.remove t.cache key;
+        t.st <- { t.st with cache_corrupt = t.st.cache_corrupt + 1 };
         Obs.incr c_corrupt;
         None
       end
@@ -682,9 +518,6 @@ let count_outcome t (r : Reply.t) =
     | Reply.Failed _ ->
         Obs.incr c_error;
         { st with errors = st.errors + 1 })
-
-let trace_phase phase detail outcome ms =
-  { Reply.p_phase = phase; p_detail = detail; p_outcome = outcome; p_retries = 0; p_ms = ms }
 
 let invalid_reply (req : Request.t) key msg started =
   fun clock ->
@@ -770,9 +603,11 @@ let serve_exn t (req : Request.t) ~compiled =
       let key = Request.cache_key req in
       match cache_get t key with
       | Some cached ->
+          t.st <- { t.st with cache_hits = t.st.cache_hits + 1 };
           Obs.incr c_hit;
           finish (hit_reply req cached t0 t.clock)
       | None ->
+          t.st <- { t.st with cache_misses = t.st.cache_misses + 1 };
           Obs.incr c_miss;
           let route = route_of t req in
           let reply, template =
@@ -853,7 +688,7 @@ let run_batch t reqs =
             let route = route_of t req in
             let structure = Option.value route ~default:key in
             let known_route = match route with Some r -> Lru.mem t.routes r | None -> false in
-            if Hashtbl.mem seen structure || Sharded_cache.mem t.cache key || known_route then None
+            if Hashtbl.mem seen structure || Lru.mem t.cache key || known_route then None
             else begin
               Hashtbl.add seen structure ();
               Some (key, route, req)
@@ -929,23 +764,23 @@ let requests_to_json reqs =
     ]
 
 (* The metrics op: the full registry exposition (counters, gauges and
-   probes — pool, cache, breakers — and meters with quantiles) plus this
+   probes — pool and cache — and meters with quantiles) plus this
    instance's wire-stats block, in one object. *)
 let metrics_json t =
   match Registry.to_json (Registry.snapshot ()) with
   | Json.Obj fields ->
       Json.Obj
         (fields
-        @ [ ("stats", stats_to_json ~breakers:(breaker_states t) ~cache:(cache_info t) (stats t)) ])
+        @ [ ("stats", stats_to_json ~cache_bytes:(cache_bytes t) (stats t)) ])
   | j -> j
 
-let replies_to_json ?passes ?breakers ~domains ~stats replies =
+let replies_to_json ?passes ~domains ~stats replies =
   Json.Obj
     ([
        ("schema", Json.Str replies_schema);
        ("domains", Json.Num (float_of_int domains));
        ("replies", Json.Arr (List.map Reply.to_json replies));
-       ("stats", stats_to_json ?breakers stats);
+       ("stats", stats_to_json stats);
      ]
     @
     match passes with

@@ -13,12 +13,10 @@
 
     {b Caching.}  Requests are canonicalized into a content-addressed
     {!Compile_request.cache_key}; a repeat is served from a
-    {!Qcr_util.Sharded_cache} — [cache_shards] independent LRU shards,
-    each behind its own mutex, selected by digest bits — so cache
-    traffic contends per shard, never with the cost-model/breaker lock
-    (hit/miss counts merge per-shard counters exactly and surface both
-    in {!stats} and through the [service.cache.hit]/[service.cache.miss]
-    [Qcr_obs] counters).  Only full-quality replies — compiled at the
+    {!Qcr_util.Lru} of [cache_capacity] replies, which only the
+    submitting domain touches (hit/miss counts surface both in {!stats}
+    and through the [service.cache.hit]/[service.cache.miss] [Qcr_obs]
+    counters).  Only full-quality replies — compiled at the
     requested tier, not degraded — are cached, so a cache hit is always
     bit-identical to what a cold deadline-free compile would have
     produced.  Entries carry a digest of their canonical bytes,
@@ -58,8 +56,10 @@
     default {!Qcr_par.Pool} and assembles replies sequentially in request
     order, inserting templates as it goes: an angle sweep within one
     batch compiles once, and replies, cache flags, route hits and
-    hit/miss counts are identical for every pool size.  Submit from one domain at a time (the
-    same single-driver contract as the pool).
+    hit/miss counts are identical for every pool size.  Submit from one
+    domain at a time (the same single-driver contract as the pool): the
+    cache, the route table and the counters have no lock; only the cost
+    model, which cold compiles on pool workers update, sits behind one.
 
     {b Deadlines.}  [deadline_s] bounds a request's compute budget.  The
     service walks the degradation ladder portfolio → ours → greedy (ata
@@ -74,16 +74,12 @@
     {!Qcr_obs.Clock.t}, so the whole ladder is drivable by a fake clock
     in tests.
 
-    {b Resilience.}  Each compile attempt runs behind the [service.tier]
-    fault point.  Transient ([Internal]) failures retry up to [retries]
-    times with seeded exponential backoff and full jitter before the
-    ladder falls through to the next tier, so the backoff schedule is
-    reproducible.  Each tier has a circuit breaker: [breaker_threshold]
-    consecutive failures open it for [breaker_cooldown_s] seconds of the
-    service clock, during which the tier is skipped; after cooling it
-    half-opens and a single probe attempt recloses it (success) or
-    reopens it (failure).  Breaker states are exported via
-    {!breaker_states} and the [breakers] field of {!stats_to_json}. *)
+    {b Failures.}  Each compile attempt runs behind the [service.tier]
+    fault point.  The compiler is deterministic, so a tier that fails
+    with [Internal] is attempted once and the ladder falls through to
+    the next tier; the failure leaves no state behind, so the next
+    request starts from the top of its ladder again.  An
+    [Invalid_request] ends the walk, since no cheaper tier can fix it. *)
 
 type t
 
@@ -99,8 +95,10 @@ type stats = {
   degraded : int;  (** compiled at a cheaper tier under deadline pressure *)
   timeouts : int;
   errors : int;  (** invalid requests and captured internal errors *)
-  retries : int;  (** compile attempts re-run after a transient failure *)
-  breaker_trips : int;  (** closed/half-open → open transitions, all tiers *)
+  retries : int;
+      (** always 0: a failed tier is never re-run.  Kept so readers of
+          the record (the end-to-end benchmark's per-layer report)
+          still build; {!stats_to_json} does not export it. *)
 }
 
 val zero_stats : stats
@@ -108,48 +106,32 @@ val zero_stats : stats
 val stats_sub : stats -> stats -> stats
 (** Fieldwise [after - before]: the delta of one pass. *)
 
-val stats_to_json :
-  ?breakers:(string * string) list -> ?cache:int * int -> stats -> Qcr_obs.Json.t
-(** [breakers] (as produced by {!breaker_states}) adds a ["breakers"]
-    object mapping tier name to ["closed"]/["open"]/["half_open"];
-    [cache] (as produced by {!cache_info}) adds the ["shards"] and
-    ["cache_bytes"] gauges. *)
+val stats_to_json : ?cache_bytes:int -> stats -> Qcr_obs.Json.t
+(** [cache_bytes] (as produced by {!cache_bytes}) adds the
+    ["cache_bytes"] gauge. *)
 
 val create :
   ?cache_capacity:int ->
-  ?cache_shards:int ->
   ?store:Cache_store.t ->
   ?clock:Qcr_obs.Clock.t ->
   ?astar_budget:int ->
   ?on_attempt:(Compile_request.mode -> unit) ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
-  ?retry_seed:int ->
-  ?sleep:(float -> unit) ->
   ?eventlog:Qcr_obs.Eventlog.t ->
   unit ->
   t
-(** Defaults: 512 cached replies over 16 shards (clamped down when the
-    capacity is smaller) and as many route-table structures, no
-    persistent store, {!Qcr_obs.Clock.wall},
-    30000 A* node expansions for the portfolio arm, 2 retries with a
-    5 ms backoff base, breakers opening after 5 consecutive failures for
-    30 s.  With [store], the cache warm-starts from the store's
-    validated entries (capacity permitting) before the first request.
-    [on_attempt] runs immediately before each tier attempt (after
-    admission), including retries — an instrumentation seam that deadline
-    tests use to advance a fake clock by a simulated per-tier cost.
-    [sleep] (default [Unix.sleepf]) performs the backoff wait, so tests
-    can run retry schedules instantly; [retry_seed] seeds the jitter
-    stream.  With [eventlog], every served reply feeds the bounded
-    slow-request and error channels ({!Qcr_obs.Eventlog}).
+(** Defaults: 512 cached replies and as many route-table structures, no
+    persistent store, {!Qcr_obs.Clock.wall}, 30000 A* node expansions
+    for the portfolio arm.  With [store], the cache warm-starts from the
+    store's validated entries (capacity permitting) before the first
+    request.  [on_attempt] runs immediately before each tier attempt
+    (after admission) — an instrumentation seam that deadline tests use
+    to advance a fake clock by a simulated per-tier cost.  With
+    [eventlog], every served reply feeds the bounded slow-request and
+    error channels ({!Qcr_obs.Eventlog}).
 
     Creation also (re-)registers the instance's registry probes —
-    [service.cache_bytes], [service.cache_shards],
-    [service.cache_entries], and [service.breaker_state{tier=...}]
-    (0 closed, 1 half-open, 2 open) — pointing at the newest instance. *)
+    [service.cache_bytes] and [service.cache_entries] — pointing at the
+    newest instance. *)
 
 val submit : t -> Compile_request.t -> Compile_reply.t
 
@@ -161,14 +143,12 @@ val run_batch : t -> Compile_request.t list -> Compile_reply.t list
     the submitting domain — a lost pool never loses a batch. *)
 
 val stats : t -> stats
-(** Cumulative over the service's lifetime.  Cache counters are merged
-    from the per-shard counters (plus the store's load-time skips under
-    [cache_corrupt]) at read time, so they are exact under sharding. *)
+(** Cumulative over the service's lifetime; [cache_corrupt] includes the
+    store records skipped at warm start. *)
 
-val cache_info : t -> int * int
-(** [(shards, bytes)]: the shard count and the total canonical bytes
-    held by the compile cache — the gauges {!stats_to_json}'s [?cache]
-    argument exports. *)
+val cache_bytes : t -> int
+(** The total canonical bytes held by the compile cache, summed at read
+    time — the gauge {!stats_to_json}'s [?cache_bytes] argument exports. *)
 
 val cache_entries : t -> int
 (** Live entries in the compile cache. *)
@@ -180,13 +160,9 @@ val flush : t -> (int, string) result
     cache and the on-disk index are unchanged, and the flush can be
     retried. *)
 
-val breaker_states : t -> (string * string) list
-(** Current breaker state per tier, [(tier, "closed"|"open"|"half_open")],
-    in ladder order portfolio, ours, greedy, ata. *)
-
 val metrics_json : t -> Qcr_obs.Json.t
 (** The full {!Qcr_obs.Registry} exposition (schema [qcr-metrics/v1]:
-    counters, gauges and probes — pool, cache, breaker states — and
+    counters, gauges and probes — pool and cache — and
     meters with p50/p90/p99 and trailing rate, including the per-tier
     [service.compile_ms{tier=...}] families) with this instance's
     {!stats_to_json} block appended under ["stats"].  This is what
@@ -208,12 +184,6 @@ val requests_of_json : Qcr_obs.Json.t -> (Compile_request.t list, string) result
 val requests_to_json : Compile_request.t list -> Qcr_obs.Json.t
 
 val replies_to_json :
-  ?passes:stats list ->
-  ?breakers:(string * string) list ->
-  domains:int ->
-  stats:stats ->
-  Compile_reply.t list ->
-  Qcr_obs.Json.t
+  ?passes:stats list -> domains:int -> stats:stats -> Compile_reply.t list -> Qcr_obs.Json.t
 (** [passes] records per-pass stat deltas when the same batch ran several
-    times through one service (the CLI's [--repeat]); [breakers] embeds
-    the final breaker states in the top-level stats object. *)
+    times through one service (the CLI's [--repeat]). *)

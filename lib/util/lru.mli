@@ -7,8 +7,9 @@
     degenerate cache that stores nothing (every [add] is a no-op), which
     lets callers disable caching without a separate code path.
 
-    Not thread-safe: callers that share a cache across domains must
-    serialize access (the compile service holds a mutex around it). *)
+    Not thread-safe: a cache belongs to one domain at a time (the
+    compile service touches its reply cache and route table only from
+    the submitting domain). *)
 
 type 'a t
 

@@ -196,7 +196,7 @@ let reply_gen =
     (let phase_gen =
        oneofl [ "cache"; "compile"; "validate" ] >>= fun p_phase ->
        oneofl [ "hit"; "miss"; "ours"; "greedy"; "portfolio" ] >>= fun p_detail ->
-       oneofl [ "ok"; "discarded"; "breaker_open"; "internal" ] >>= fun p_outcome ->
+       oneofl [ "ok"; "discarded"; "not_admitted"; "internal" ] >>= fun p_outcome ->
        int_range 0 3 >>= fun p_retries ->
        map
          (fun p_ms -> { Reply.p_phase; p_detail; p_outcome; p_retries; p_ms })

@@ -1,7 +1,7 @@
 (* Deterministic fault injection and the robustness it buys: spec
    grammar round-trips, zero-cost disarmed probes, seeded determinism,
-   pool worker supervision, service retries / circuit breakers / cache
-   digest validation, the hardened JSON parser, and the chaos batch
+   pool worker supervision, the service's single-attempt tier ladder and
+   cache digest validation, the hardened JSON parser, and the chaos batch
    invariants the [bench chaos] soak gates on.
 
    Every test that arms a spec disarms in a [Fun.protect] finally: the
@@ -9,7 +9,6 @@
 
 module Fault = Qcr_fault.Fault
 module Json = Qcr_obs.Json
-module Clock = Qcr_obs.Clock
 module Pool = Qcr_par.Pool
 module Program = Qcr_circuit.Program
 module Pipeline = Qcr_core.Pipeline
@@ -200,84 +199,70 @@ let req ?mode ?deadline_s ?id gamma =
 let reply_body r =
   Json.to_string (Reply.strip_volatile (Reply.to_json { r with Reply.id = ""; cached = false }))
 
-let quiet_service ?clock ?breaker_threshold ?breaker_cooldown_s ?retries () =
-  Service.create ?clock ?breaker_threshold ?breaker_cooldown_s ?retries ~backoff_s:0.0
-    ~sleep:(fun _ -> ())
-    ()
-
-let test_retry_bit_identity () =
+(* A service tier that fails is attempted once: the ladder falls
+   through to the next tier, and the failure leaves nothing behind. *)
+let test_failed_tier_falls_through_once () =
   Fault.disarm ();
-  let reference = Service.submit (quiet_service ()) (req 0.4) in
+  let reference = Service.submit (Service.create ()) (req 0.4) in
   with_faults "seed=3,service.tier:crash:nth=1" (fun () ->
-      let s = quiet_service () in
+      let attempts = ref [] in
+      let s = Service.create ~on_attempt:(fun mode -> attempts := mode :: !attempts) () in
       let r = Service.submit s (req 0.4) in
-      Alcotest.(check string) "retried reply bit-identical to fault-free" (reply_body reference)
-        (reply_body r);
-      Alcotest.(check int) "one retry recorded" 1 (Service.stats s).Service.retries)
+      Alcotest.(check (list string)) "ours once, then greedy" [ "ours"; "greedy" ]
+        (List.rev_map Request.mode_name !attempts);
+      (match r.Reply.outcome with
+      | Reply.Compiled { mode = Request.Greedy; _ } -> ()
+      | _ -> Alcotest.fail "expected the greedy tier to serve the request");
+      Alcotest.(check string) "degraded" "degraded" (Reply.status_name r);
+      let again = Service.submit s (req 0.4) in
+      Alcotest.(check int) "one more attempt" 3 (List.length !attempts);
+      Alcotest.(check string) "next submit bit-identical to fault-free" (reply_body reference)
+        (reply_body again))
 
-let test_breaker_opens_and_recovers () =
-  let fake, clock = Clock.fake () in
-  let s = quiet_service ~clock ~breaker_threshold:2 ~breaker_cooldown_s:10.0 ~retries:0 () in
-  let greedy gamma = req gamma ~mode:Request.Greedy in
-  let failed r =
-    match r.Reply.outcome with
-    | Reply.Failed (Pipeline.Internal _) -> true
-    | _ -> false
-  in
+(* However many requests fail, later clean requests on the same service
+   compile at full quality: no tier is ever skipped for past failures. *)
+let test_failures_do_not_spill_over () =
+  Fault.disarm ();
+  let clean = [ req 0.9 ~mode:Request.Ours; req 0.9 ~mode:Request.Greedy ] in
+  let reference = List.map (fun r -> reply_body (Service.submit (Service.create ()) r)) clean in
+  let s = Service.create () in
   with_faults "seed=2,service.tier:crash:always" (fun () ->
-      Alcotest.(check bool) "crash 1 fails typed" true (failed (Service.submit s (greedy 0.1)));
-      Alcotest.(check bool) "crash 2 fails typed" true (failed (Service.submit s (greedy 0.2)));
-      Alcotest.(check (list (pair string string))) "greedy breaker open after threshold"
-        [ ("portfolio", "closed"); ("ours", "closed"); ("greedy", "open"); ("ata", "closed") ]
-        (Service.breaker_states s);
-      Alcotest.(check int) "one trip" 1 (Service.stats s).Service.breaker_trips;
-      (* open: the tier is skipped, the ladder exhausts without attempts *)
-      Alcotest.(check bool) "open breaker short-circuits" true
-        (failed (Service.submit s (greedy 0.3))));
-  (* still open after disarm until the cooldown elapses *)
-  Alcotest.(check bool) "skipped while cooling" true
-    (match (Service.submit s (req 0.4 ~mode:Request.Greedy)).Reply.outcome with
-    | Reply.Failed _ -> true
-    | _ -> false);
-  Clock.advance fake 11.0;
-  let recovered = Service.submit s (req 0.5 ~mode:Request.Greedy) in
-  (match recovered.Reply.outcome with
-  | Reply.Compiled { mode = Request.Greedy; _ } -> ()
-  | _ -> Alcotest.fail "half-open probe should recover the tier");
-  Alcotest.(check (list (pair string string))) "breaker closed after successful probe"
-    [ ("portfolio", "closed"); ("ours", "closed"); ("greedy", "closed"); ("ata", "closed") ]
-    (Service.breaker_states s)
-
-let test_breaker_halfopen_failure_reopens () =
-  let fake, clock = Clock.fake () in
-  let s = quiet_service ~clock ~breaker_threshold:1 ~breaker_cooldown_s:10.0 ~retries:0 () in
-  with_faults "seed=2,service.tier:crash:always" (fun () ->
-      ignore (Service.submit s (req 0.1 ~mode:Request.Greedy));
-      Alcotest.(check int) "tripped" 1 (Service.stats s).Service.breaker_trips;
-      Clock.advance fake 11.0;
-      (* the half-open probe crashes too: straight back to open *)
-      ignore (Service.submit s (req 0.2 ~mode:Request.Greedy));
-      Alcotest.(check int) "failed probe re-trips" 2 (Service.stats s).Service.breaker_trips;
-      Alcotest.(check bool) "open again" true
-        (List.assoc "greedy" (Service.breaker_states s) = "open"))
+      for k = 1 to 8 do
+        let mode = if k mod 4 = 0 then Request.Greedy else Request.Ours in
+        match (Service.submit s (req (0.1 *. float_of_int k) ~mode)).Reply.outcome with
+        | Reply.Failed (Pipeline.Internal _) -> ()
+        | _ -> Alcotest.failf "request %d: expected a typed Internal failure" k
+      done);
+  List.iter2
+    (fun r expected ->
+      let reply = Service.submit s r in
+      Alcotest.(check string)
+        (Request.mode_name r.Request.mode ^ " request at full quality")
+        "ok" (Reply.status_name reply);
+      Alcotest.(check string) "bit-identical to a fresh service" expected (reply_body reply))
+    clean reference
 
 let test_cache_corruption_evicted () =
   Fault.disarm ();
-  let s = quiet_service () in
+  let s = Service.create () in
   let first = Service.submit s (req 0.4) in
   with_faults "seed=8,cache.get:corrupt:always" (fun () ->
       let r = Service.submit s (req 0.4) in
       Alcotest.(check bool) "corrupted hit recompiles instead of serving" false r.Reply.cached;
       Alcotest.(check string) "recompiled reply matches the original" (reply_body first)
         (reply_body r);
-      Alcotest.(check int) "corruption counted" 1 (Service.stats s).Service.cache_corrupt);
+      let st = Service.stats s in
+      Alcotest.(check int) "corruption counted" 1 st.Service.cache_corrupt;
+      Alcotest.(check int) "corrupt lookup is not a hit" 0 st.Service.cache_hits;
+      Alcotest.(check int) "corrupt lookup is a miss" 2 st.Service.cache_misses);
   let clean = Service.submit s (req 0.4) in
   Alcotest.(check bool) "re-cached entry serves again once disarmed" true clean.Reply.cached;
+  Alcotest.(check int) "and counts as a hit" 1 (Service.stats s).Service.cache_hits;
   Alcotest.(check string) "and is bit-identical" (reply_body first) (reply_body clean)
 
 let test_cache_put_corruption_detected () =
   with_faults "seed=8,cache.put:corrupt:always" (fun () ->
-      let s = quiet_service () in
+      let s = Service.create () in
       let first = Service.submit s (req 0.4) in
       (* the entry was stored corrupted: the next lookup's digest check
          must evict it rather than serve it *)
@@ -288,7 +273,7 @@ let test_cache_put_corruption_detected () =
 
 let test_boundary_catches_everything () =
   with_faults "seed=1,clock.read:crash:nth=1" (fun () ->
-      let s = quiet_service () in
+      let s = Service.create () in
       (* the very first clock read inside the service raises [Injected];
          the boundary must turn it into a typed Internal reply *)
       let r = Service.submit s (req 0.4 ~id:"boom") in
@@ -331,7 +316,7 @@ let test_chaos_batch_invariants () =
   with_faults
     "seed=11,service.tier:crash:p=0.3,cache.get:corrupt:p=0.25,cache.put:corrupt:p=0.2,pool.worker:crash:nth=1"
     (fun () ->
-      let s = quiet_service () in
+      let s = Service.create () in
       for round = 1 to 3 do
         let replies =
           try Service.run_batch s batch
@@ -367,9 +352,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_fuzz_bytes;
     QCheck_alcotest.to_alcotest prop_json_fuzz_structured;
     Alcotest.test_case "pool supervision" `Quick test_pool_supervision;
-    Alcotest.test_case "retry is bit-identical" `Quick test_retry_bit_identity;
-    Alcotest.test_case "breaker opens and recovers" `Quick test_breaker_opens_and_recovers;
-    Alcotest.test_case "half-open failure reopens" `Quick test_breaker_halfopen_failure_reopens;
+    Alcotest.test_case "failed tier falls through once" `Quick test_failed_tier_falls_through_once;
+    Alcotest.test_case "failures do not spill over" `Quick test_failures_do_not_spill_over;
     Alcotest.test_case "cache.get corruption evicted" `Quick test_cache_corruption_evicted;
     Alcotest.test_case "cache.put corruption detected" `Quick test_cache_put_corruption_detected;
     Alcotest.test_case "boundary catches everything" `Quick test_boundary_catches_everything;

@@ -271,14 +271,15 @@ let test_service_flush_crash_is_an_error () =
 let test_stats_export_cache_gauges () =
   let s = Service.create () in
   ignore (Service.submit s (req 0.5));
-  let shards, bytes = Service.cache_info s in
-  Alcotest.(check int) "default shard count" 16 shards;
+  let bytes = Service.cache_bytes s in
   Alcotest.(check bool) "cached bytes tracked" true (bytes > 0);
   Alcotest.(check int) "one live entry" 1 (Service.cache_entries s);
-  let j = Service.stats_to_json ~cache:(shards, bytes) (Service.stats s) in
-  (match Json.member "shards" j with
-  | Some (Json.Num n) -> Alcotest.(check int) "shards exported" shards (int_of_float n)
-  | _ -> Alcotest.fail "stats_to_json must export \"shards\"");
+  ignore (Service.submit s (req 0.5));
+  Alcotest.(check int) "a hit adds no bytes" bytes (Service.cache_bytes s);
+  ignore (Service.submit s (req 0.6));
+  Alcotest.(check bool) "a second entry adds bytes" true (Service.cache_bytes s > bytes);
+  let j = Service.stats_to_json ~cache_bytes:bytes (Service.stats s) in
+  Alcotest.(check bool) "no shards gauge" true (Json.member "shards" j = None);
   match Json.member "cache_bytes" j with
   | Some (Json.Num n) -> Alcotest.(check int) "cache_bytes exported" bytes (int_of_float n)
   | _ -> Alcotest.fail "stats_to_json must export \"cache_bytes\""

@@ -66,7 +66,13 @@ let test_lru_eviction () =
   (* 0.1 was evicted by 0.2, so it compiles again *)
   let r = Service.submit s (req 0.1) in
   Alcotest.(check bool) "evicted entry recompiles" false r.Reply.cached;
-  Alcotest.(check int) "three misses" 3 (Service.stats s).Service.cache_misses
+  Alcotest.(check int) "three misses" 3 (Service.stats s).Service.cache_misses;
+  (* a cache of capacity 8 keeps 8 distinct replies, whatever their keys *)
+  let s = Service.create ~cache_capacity:8 () in
+  let eight = List.init 8 (fun k -> req (0.1 *. float_of_int (k + 1))) in
+  List.iter (fun r -> ignore (Service.submit s r)) eight;
+  Alcotest.(check int) "all 8 served as hits" 8
+    (List.length (List.filter (fun r -> (Service.submit s r).Reply.cached) eight))
 
 let test_invalid_request_is_typed () =
   let s = Service.create () in
@@ -183,12 +189,15 @@ let test_batch_stable_across_pool_sizes () =
     Fun.protect
       ~finally:(fun () -> Pool.set_default_domains old)
       (fun () ->
-        List.map
-          (fun r -> Json.to_string (Reply.strip_volatile (Reply.to_json r)))
-          (Service.run_batch (Service.create ()) batch))
+        let s = Service.create () in
+        let replies = Service.run_batch s batch in
+        ( List.map (fun r -> Json.to_string (Reply.strip_volatile (Reply.to_json r))) replies,
+          Json.to_string (Service.stats_to_json (Service.stats s)) ))
   in
+  let replies1, stats1 = run_at 1 and replies4, stats4 = run_at 4 in
   Alcotest.(check (list string)) "replies (including cache flags) identical at 1 and 4 domains"
-    (run_at 1) (run_at 4)
+    replies1 replies4;
+  Alcotest.(check string) "stats identical at 1 and 4 domains" stats1 stats4
 
 (* ---------- per-request tracing ---------- *)
 

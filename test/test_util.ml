@@ -5,8 +5,6 @@ module Union_find = Qcr_util.Union_find
 module Stats = Qcr_util.Stats
 module Tablefmt = Qcr_util.Tablefmt
 module Lru = Qcr_util.Lru
-module Sharded_cache = Qcr_util.Sharded_cache
-module Pool = Qcr_par.Pool
 
 let test_prng_deterministic () =
   let a = Prng.create 42 and b = Prng.create 42 in
@@ -235,64 +233,6 @@ let test_lru_overwrite_refreshes () =
   Alcotest.(check (option int)) "b evicted as LRU" None (Lru.peek c "b");
   Alcotest.(check (option int)) "a kept with new value" (Some 10) (Lru.peek c "a")
 
-(* ---------- Sharded_cache ---------- *)
-
-let test_sharded_clamps_to_capacity () =
-  let c = Sharded_cache.create ~shards:16 ~capacity:1 () in
-  Alcotest.(check int) "one shard for capacity 1" 1 (Sharded_cache.shard_count c);
-  Sharded_cache.add c "a" 1;
-  Sharded_cache.add c "b" 2;
-  Alcotest.(check int) "strict LRU at capacity 1" 1 (Sharded_cache.length c);
-  Alcotest.(check (option int)) "a evicted" None (Sharded_cache.find c "a");
-  let st = Sharded_cache.stats c in
-  Alcotest.(check int) "eviction counted" 1 st.Sharded_cache.evictions
-
-let test_sharded_counters_and_bytes () =
-  let c = Sharded_cache.create ~shards:4 ~weight:String.length ~capacity:64 () in
-  Sharded_cache.add c "k1" "xxxx";
-  Sharded_cache.add c "k2" "yy";
-  Alcotest.(check int) "bytes sum weights" 6 (Sharded_cache.bytes c);
-  Sharded_cache.add c "k1" "z";
-  Alcotest.(check int) "overwrite adjusts bytes" 3 (Sharded_cache.bytes c);
-  ignore (Sharded_cache.find c "k1");
-  ignore (Sharded_cache.find c "k2");
-  ignore (Sharded_cache.find c "absent");
-  let st = Sharded_cache.stats c in
-  Alcotest.(check int) "hits" 2 st.Sharded_cache.hits;
-  Alcotest.(check int) "misses" 1 st.Sharded_cache.misses;
-  (* a corrupt hit is reclassified: the served count excludes it *)
-  ignore (Sharded_cache.find c "k2");
-  Sharded_cache.evict_corrupt c "k2";
-  let st = Sharded_cache.stats c in
-  Alcotest.(check int) "corrupt hit becomes a miss" 2 st.Sharded_cache.misses;
-  Alcotest.(check int) "hits only count served" 2 st.Sharded_cache.hits;
-  Alcotest.(check int) "corrupt counted" 1 st.Sharded_cache.corrupt;
-  Alcotest.(check int) "evicted entry gone" 1 (Sharded_cache.length c);
-  Alcotest.(check int) "bytes drop with eviction" 1 (Sharded_cache.bytes c);
-  Sharded_cache.note_corrupt c "load-reject";
-  Alcotest.(check int) "note_corrupt adds without eviction" 2
-    (Sharded_cache.stats c).Sharded_cache.corrupt
-
-(* Hammer one cache from several domains; because every counter mutates
-   under its shard lock, the merged totals must come out exact. *)
-let test_sharded_concurrent_exact () =
-  let c = Sharded_cache.create ~shards:8 ~capacity:64 () in
-  for i = 0 to 31 do
-    Sharded_cache.add c (string_of_int i) i
-  done;
-  let domains = 4 and per_domain = 1000 in
-  let pool = Pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-      Pool.for_range pool ~chunks:domains ~lo:0 ~hi:(domains * per_domain) (fun lo hi ->
-          for i = lo to hi - 1 do
-            (* present on even draws, absent on odd: half hits, half misses *)
-            if i mod 2 = 0 then ignore (Sharded_cache.find c (string_of_int (i mod 32)))
-            else ignore (Sharded_cache.find c (Printf.sprintf "absent-%d" i))
-          done));
-  let st = Sharded_cache.stats c in
-  Alcotest.(check int) "hits exact" (domains * per_domain / 2) st.Sharded_cache.hits;
-  Alcotest.(check int) "misses exact" (domains * per_domain / 2) st.Sharded_cache.misses
-
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -315,7 +255,4 @@ let suite =
     Alcotest.test_case "lru capacity one" `Quick test_lru_capacity_one;
     Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru overwrite refreshes recency" `Quick test_lru_overwrite_refreshes;
-    Alcotest.test_case "sharded cache clamps to capacity" `Quick test_sharded_clamps_to_capacity;
-    Alcotest.test_case "sharded cache counters and bytes" `Quick test_sharded_counters_and_bytes;
-    Alcotest.test_case "sharded cache exact under domains" `Quick test_sharded_concurrent_exact;
   ]
